@@ -152,6 +152,7 @@ let fig11 () =
   (* 40 s steady state, kill one node, reboot 20 s later (timeline scaled
      4x down: crash at 10 s, reboot at 15 s, 20 s total). *)
   let cfg = Common.ycsb () in
+  let keys = Ycsb.keys cfg in
   let mk_setup () =
     { (Common.setup ~clients:24 Adapters.glassdb
          { (Common.params ()) with System.rpc_timeout = 0.15 })
@@ -160,7 +161,7 @@ let fig11 () =
   let no_repl =
     Driver.run_timeline (mk_setup ())
       ~load:(fun c -> Ycsb.load c cfg)
-      ~body:(fun client rng -> Ycsb.run_txn client rng cfg)
+      ~body:(fun client rng -> Ycsb.run_txn client rng cfg keys)
       ~events:
         [ (10.0, fun a -> a.System.a_crash 0);
           (15.0, fun a -> a.System.a_recover 0) ]
@@ -204,7 +205,7 @@ let fig11 () =
                   Raft.submit groups.(shard) ~timeout:1.0 "txn"
                 in
                 if replicated_ok then begin
-                  match Ycsb.run_txn client rng cfg with
+                  match Ycsb.run_txn client rng cfg keys with
                   | Ok () -> Glassdb_util.Stats.hist_add hist (Sim.now () -. t_start)
                   | Error _ -> ()
                 end;
@@ -284,6 +285,7 @@ let fig12a () =
 
 let fig12b () =
   let cfg = Common.ycsb () in
+  let keys = Ycsb.keys cfg in
   let rows =
     List.concat_map
       (fun sys ->
@@ -307,7 +309,7 @@ let fig12b () =
                   while Sim.now () < stop_at do
                     let op = Ycsb.workload_x rng in
                     let t0 = Sim.now () in
-                    (match Ycsb.run_verified_op client rng cfg op with
+                    (match Ycsb.run_verified_op client rng cfg keys op with
                      | Ok v ->
                        (match op with
                         | Ycsb.V_put -> Glassdb_util.Stats.add put_lat (Sim.now () -. t0)

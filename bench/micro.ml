@@ -135,9 +135,10 @@ let run_glassdb_phases ?shards ?clients ?(interval = 0.05) ?(mix = Ycsb.Balanced
   let params = Common.params ?shards ~persist_interval:interval () in
   let setup = Common.setup ?clients Adapters.glassdb params in
   let cfg = Common.ycsb ~mix ~ops () in
+  let keys = Ycsb.keys cfg in
   Driver.run_transactional setup
     ~load:(fun c -> Ycsb.load c cfg)
-    ~body:(fun client rng -> Ycsb.run_txn_verified client rng cfg)
+    ~body:(fun client rng -> Ycsb.run_txn_verified client rng cfg keys)
 
 let fig4a () =
   let rows =
@@ -236,10 +237,12 @@ let fig6a () =
             in
             let setup = Common.setup Adapters.glassdb params in
             let cfg = Common.ycsb ~mix () in
+            let keys = Ycsb.keys cfg in
             let r =
               Driver.run_transactional setup
                 ~load:(fun c -> Ycsb.load c cfg)
-                ~body:(fun client rng -> Ycsb.run_txn_verified client rng cfg)
+                ~body:(fun client rng ->
+                  Ycsb.run_txn_verified client rng cfg keys)
             in
             [ Ycsb.mix_name mix;
               Report.f0 (interval *. 1000.);
@@ -339,9 +342,10 @@ let fig8 () =
     let params = Common.params () in
     let setup = Common.setup sys params in
     let cfg = Common.ycsb () in
+    let keys = Ycsb.keys cfg in
     Driver.run_transactional setup
       ~load:(fun c -> Ycsb.load c cfg)
-      ~body:(fun client rng -> Ycsb.run_txn_verified client rng cfg)
+      ~body:(fun client rng -> Ycsb.run_txn_verified client rng cfg keys)
   in
   let rows =
     List.map

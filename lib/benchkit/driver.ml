@@ -142,16 +142,18 @@ let run_transactional setup ~load ~body =
   in_harness setup ~load ~client_loop
 
 let run_ycsb setup cfg =
+  let keys = Ycsb.keys cfg in
   run_transactional setup
     ~load:(fun c -> Ycsb.load c cfg)
-    ~body:(fun client rng -> Ycsb.run_txn client rng cfg)
+    ~body:(fun client rng -> Ycsb.run_txn client rng cfg keys)
 
 let run_verified setup cfg ~pick =
+  let keys = Ycsb.keys cfg in
   let client_loop ~client ~rng ~acc ~stop_at ~measure_from =
     while Sim.now () < stop_at do
       let t0 = Sim.now () in
       let op = pick rng in
-      let result = Ycsb.run_verified_op client rng cfg op in
+      let result = Ycsb.run_verified_op client rng cfg keys op in
       let t1 = Sim.now () in
       if t1 >= measure_from && t1 < stop_at then begin
         (match result with

@@ -64,18 +64,26 @@ let writes_per_txn cfg =
   | Balanced -> cfg.ops_per_txn * 5 / 10
   | Write_heavy -> cfg.ops_per_txn * 8 / 10
 
-let draw_key rng cfg zipf =
-  if cfg.theta = 0. then Rng.int_below rng cfg.record_count
-  else Zipf.scrambled rng zipf
+(* The Zipf table costs O(record_count) to build, so a run builds it once
+   and shares it across every operation; uniform configs need none. *)
+type keys = Zipf.t option
 
-let txn_ops rng cfg =
-  let zipf = Zipf.create ~n:cfg.record_count ~theta:(max cfg.theta 0.01) in
+let keys cfg =
+  if cfg.theta = 0. then None
+  else Some (Zipf.create ~n:cfg.record_count ~theta:(max cfg.theta 0.01))
+
+let draw_key rng cfg keys =
+  match keys with
+  | None -> Rng.int_below rng cfg.record_count
+  | Some zipf -> Zipf.scrambled rng zipf
+
+let txn_ops rng cfg keys =
   let writes = writes_per_txn cfg in
   (* Distinct keys per transaction avoid intra-transaction write conflicts. *)
   let seen = Hashtbl.create cfg.ops_per_txn in
   let fresh_key () =
     let rec go tries =
-      let k = draw_key rng cfg zipf in
+      let k = draw_key rng cfg keys in
       if Hashtbl.mem seen k && tries < 20 then go (tries + 1)
       else begin
         Hashtbl.replace seen k ();
@@ -95,11 +103,11 @@ let body_of ops ctx =
       | Op_put (k, v) -> ctx.System.tput k v)
     ops
 
-let run_txn client rng cfg =
-  client.System.c_execute (body_of (txn_ops rng cfg))
+let run_txn client rng cfg keys =
+  client.System.c_execute (body_of (txn_ops rng cfg keys))
 
-let run_txn_verified client rng cfg =
-  client.System.c_execute_verified (body_of (txn_ops rng cfg))
+let run_txn_verified client rng cfg keys =
+  client.System.c_execute_verified (body_of (txn_ops rng cfg keys))
 
 type verified_op = V_put | V_get_latest | V_get_at
 
@@ -109,9 +117,8 @@ let workload_y rng =
   let r = Rng.int_below rng 10 in
   if r < 2 then V_put else if r < 6 then V_get_latest else V_get_at
 
-let run_verified_op client rng cfg op =
-  let zipf = Zipf.create ~n:cfg.record_count ~theta:(max cfg.theta 0.01) in
-  let key = key_of (draw_key rng cfg zipf) in
+let run_verified_op client rng cfg keys op =
+  let key = key_of (draw_key rng cfg keys) in
   match op with
   | V_put ->
     (match client.System.c_verified_put key (value_of rng cfg) with

@@ -33,13 +33,24 @@ val load : System.client -> config -> unit
 
 type op = Op_get of Kv.key | Op_put of Kv.key * Kv.value
 
-val txn_ops : Rng.t -> config -> op list
+type keys
+(** The key-popularity table of a config: a Zipf table, or nothing for
+    uniform keys.  Building it is O([record_count]), so build it once per
+    run with {!keys} and pass it to every operation. *)
+
+val keys : config -> keys
+
+val txn_ops : Rng.t -> config -> keys -> op list
 (** One transaction's operations according to the mix. *)
 
-val run_txn : System.client -> Rng.t -> config -> (unit, Glassdb_util.Error.t) result
+val run_txn :
+  System.client -> Rng.t -> config -> keys ->
+  (unit, Glassdb_util.Error.t) result
 (** Generate and execute one transaction. *)
 
-val run_txn_verified : System.client -> Rng.t -> config -> (unit, Glassdb_util.Error.t) result
+val run_txn_verified :
+  System.client -> Rng.t -> config -> keys ->
+  (unit, Glassdb_util.Error.t) result
 (** Same, with the writes scheduled for deferred verification. *)
 
 type verified_op = V_put | V_get_latest | V_get_at
@@ -48,7 +59,7 @@ val workload_x : Rng.t -> verified_op
 val workload_y : Rng.t -> verified_op
 
 val run_verified_op :
-  System.client -> Rng.t -> config -> verified_op ->
+  System.client -> Rng.t -> config -> keys -> verified_op ->
   (System.verification option, Glassdb_util.Error.t) result
 (** Execute one verified operation; puts return [None] (their verification
     arrives later via [c_flush]). *)

@@ -6,7 +6,6 @@ type t = {
   sync_persist : bool;
   pattern_bits : int;
   queue_capacity : int;
-  blocks_per_hashify : int;
   pool_work_threshold : int;
   cost : Cost.t;
   rtt : float;
@@ -20,14 +19,12 @@ type t = {
 
 let make ?(shards = 4) ?(workers = 8) ?(persist_interval = 0.05)
     ?(batching = true) ?(sync_persist = false) ?(pattern_bits = 5)
-    ?(queue_capacity = 4096) ?(blocks_per_hashify = 1)
-    ?(pool_work_threshold = 65536) ?(cost = Cost.default)
-    ?(rtt = 200e-6) ?(bandwidth = 125e6) ?(rpc_timeout = 1.0)
-    ?(rpc_retries = 2) ?(retry_backoff = 0.01) ?(verify_delay = 0.1) ?faults
-    () =
+    ?(queue_capacity = 4096) ?(pool_work_threshold = 65536)
+    ?(cost = Cost.default) ?(rtt = 200e-6) ?(bandwidth = 125e6)
+    ?(rpc_timeout = 1.0) ?(rpc_retries = 2) ?(retry_backoff = 0.01)
+    ?(verify_delay = 0.1) ?faults () =
   if shards <= 0 then invalid_arg "Config.make: shards";
   if workers <= 0 then invalid_arg "Config.make: workers";
-  if blocks_per_hashify < 1 then invalid_arg "Config.make: blocks_per_hashify";
   if pool_work_threshold < 0 then invalid_arg "Config.make: pool_work_threshold";
   if rpc_timeout <= 0. then invalid_arg "Config.make: rpc_timeout";
   if rpc_retries < 0 then invalid_arg "Config.make: rpc_retries";
@@ -40,7 +37,6 @@ let make ?(shards = 4) ?(workers = 8) ?(persist_interval = 0.05)
     sync_persist;
     pattern_bits;
     queue_capacity;
-    blocks_per_hashify;
     pool_work_threshold;
     cost;
     rtt;
@@ -60,5 +56,4 @@ let node cfg =
     sync_persist = cfg.sync_persist;
     pattern_bits = cfg.pattern_bits;
     cost = cfg.cost;
-    queue_capacity = cfg.queue_capacity;
-    blocks_per_hashify = cfg.blocks_per_hashify }
+    queue_capacity = cfg.queue_capacity }

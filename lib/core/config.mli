@@ -15,7 +15,6 @@ type t = {
   sync_persist : bool;      (** true = persist inside commit (no-DV) *)
   pattern_bits : int;       (** POS-tree split-pattern bits *)
   queue_capacity : int;     (** max in-flight txns per node before aborting *)
-  blocks_per_hashify : int; (** committed-map layers folded per hashify *)
   pool_work_threshold : int;
   (** small-batch pool bypass threshold, in cost units (~bytes to hash):
       cost-sized parallel maps below it run serially with zero task
@@ -39,9 +38,6 @@ val make :
   ?sync_persist:bool ->     (* false *)
   ?pattern_bits:int ->      (* 5 *)
   ?queue_capacity:int ->    (* 4096 *)
-  ?blocks_per_hashify:int ->(* 1; >1 folds N layers into one block, but
-                               intra-fold superseded writes lose their
-                               deferred-verification promises *)
   ?pool_work_threshold:int ->(* 65536 cost units (~bytes to hash) *)
   ?cost:Cost.t ->           (* Cost.default *)
   ?rtt:float ->             (* 200e-6 s: same-rack TCP *)
@@ -54,7 +50,9 @@ val make :
   unit -> t
 (** Labelled smart constructor; defaults in the comments above.  Raises
     [Invalid_argument] on non-positive [shards]/[workers]/[rpc_timeout]
-    or negative retry settings. *)
+    or negative retry settings.  Whatever the settings, a block holds at
+    most one version of any key, so every deferred-verification promise
+    names a block that can prove it. *)
 
 val default : t
 

@@ -11,18 +11,7 @@ type config = {
   pattern_bits : int;
   cost : Cost.t;
   queue_capacity : int;
-  blocks_per_hashify : int;
 }
-
-let default_config =
-  { persist_interval = 0.05;
-    workers = 8;
-    batching = true;
-    sync_persist = false;
-    pattern_bits = 5;
-    cost = Cost.default;
-    queue_capacity = 4096;
-    blocks_per_hashify = 1 }
 
 type promise = {
   pr_shard : int;
@@ -60,6 +49,14 @@ type t = {
   m_aborts : Obs.Metrics.counter;
 }
 
+(* Blocks a full drain would build right now: under batching every block
+   drains one pending version per key, so the deepest key queue decides.
+   The persister bounds each wake-up by this so commits arriving mid-drain
+   wait for the next one. *)
+let pending_blocks t =
+  if t.cfg.batching then Committed_map.max_depth t.cmap
+  else Queue.length t.txn_blocks
+
 (* Callback gauges into the node's live state, scraped periodically by the
    Obs sampler.  Registration replaces any gauge a previous run's node left
    behind for the same shard. *)
@@ -68,11 +65,7 @@ let register_gauges t =
   g "glassdb.node.wal_bytes" (fun () ->
       float_of_int (Storage.Wal.size_bytes t.wal));
   g "glassdb.node.pending_blocks" (fun () ->
-      float_of_int
-        (if t.cfg.batching then
-           let w = max 1 t.cfg.blocks_per_hashify in
-           (Committed_map.max_depth t.cmap + w - 1) / w
-         else Queue.length t.txn_blocks));
+      float_of_int (pending_blocks t));
   g "glassdb.node.committed_keys" (fun () ->
       float_of_int (Committed_map.pending_keys t.cmap));
   g "glassdb.node.blocks" (fun () ->
@@ -122,7 +115,6 @@ let shard_id t = t.id
 let alive t = t.is_alive
 let workers t = t.worker_pool
 let disk t = t.disk
-let config_of t = t.cfg
 let store t = t.node_store
 let ledger_of t = t.ledger
 
@@ -214,47 +206,24 @@ let parse_wal_block payload =
 
 (* --- persistence --- *)
 
-(* Stage each drained layer as its own delta, fold the stack, and hashify
-   once: one POS-tree batch insert and one root recompute cover the whole
-   group (Ledger's staged write path, DESIGN.md §4j).  The WAL "block"
-   record carries every (tid, key) pair of the group — including versions
-   superseded inside the fold — so recovery never re-queues any of them.
-   Each signed transaction is attached to the first layer that mentions
-   it, so a txn whose writes span layers of one group ships once. *)
-let block_of_layers t ~now layers =
-  let seen_tids = Hashtbl.create 16 in
-  let staged =
-    List.map
-      (fun layer ->
-        let tids =
-          List.filter
-            (fun tid ->
-              if Hashtbl.mem seen_tids tid then false
-              else begin
-                Hashtbl.replace seen_tids tid ();
-                true
-              end)
-            (List.sort_uniq String.compare
-               (List.map (fun (_, _, tid) -> tid) layer))
-        in
-        let txns = List.filter_map (Hashtbl.find_opt t.signed) tids in
-        let writes =
-          List.map
-            (fun (k, v, tid) -> { Ledger.wkey = k; wvalue = v; wtid = tid })
-            layer
-        in
-        Ledger.stage t.ledger ~time:now ~writes ~txns)
-      layers
+(* Append one block holding [layer]'s writes (at most one version per
+   key) and the signed transactions behind them, then log a WAL "block"
+   record naming every (tid, key) pair it persisted. *)
+let append_layer t ~now layer =
+  let tids =
+    List.sort_uniq String.compare (List.map (fun (_, _, tid) -> tid) layer)
   in
-  let ledger, _header = Ledger.hashify t.ledger (Ledger.fold staged) in
-  t.ledger <- ledger;
+  let txns = List.filter_map (Hashtbl.find_opt t.signed) tids in
+  let writes =
+    List.map
+      (fun (k, v, tid) -> { Ledger.wkey = k; wvalue = v; wtid = tid })
+      layer
+  in
+  t.ledger <- Ledger.append_block t.ledger ~time:now ~writes ~txns;
   ignore
     (Storage.Wal.append t.wal ~kind:"block"
        ~payload:
-         (wal_block_payload ~block:(Ledger.latest_block t.ledger)
-            (List.concat layers)))
-
-let fold_width t = max 1 t.cfg.blocks_per_hashify
+         (wal_block_payload ~block:(Ledger.latest_block t.ledger) layer))
 
 (* Build at most one block; true when a block was appended.  The caller
    (the persister process) charges each step separately so ledger writes
@@ -263,17 +232,10 @@ let fold_width t = max 1 t.cfg.blocks_per_hashify
 let persist_step t ~now =
   if not t.is_alive then false
   else if t.cfg.batching then begin
-    let rec drain n acc =
-      if n = 0 then List.rev acc
-      else
-        match Committed_map.drain_layer t.cmap with
-        | [] -> List.rev acc
-        | layer -> drain (n - 1) (layer :: acc)
-    in
-    match drain (fold_width t) [] with
+    match Committed_map.drain_layer t.cmap with
     | [] -> false
-    | layers ->
-      block_of_layers t ~now layers;
+    | layer ->
+      append_layer t ~now layer;
       true
   end
   else begin
@@ -292,20 +254,12 @@ let persist_step t ~now =
         in
         if layer = [] then next ()
         else begin
-          block_of_layers t ~now [ layer ];
+          append_layer t ~now layer;
           true
         end
     in
     next ()
   end
-
-(* Blocks a full drain would build right now; the persister bounds each
-   wake-up by this so commits arriving mid-drain wait for the next one. *)
-let pending_blocks t =
-  if t.cfg.batching then
-    let w = fold_width t in
-    (Committed_map.max_depth t.cmap + w - 1) / w
-  else Queue.length t.txn_blocks
 
 let persist t ~now =
   let blocks = ref 0 in
@@ -328,6 +282,33 @@ let persist_cost t =
           (fun acc (k, v) -> acc + String.length k + String.length v)
           acc writes)
       0 t.txn_blocks
+
+(* Queue committed writes for the persister and return each with its
+   predicted block.  Both [commit] and WAL replay go through here, so a
+   replayed version lands in the block its original promise named. *)
+let enqueue t tid writes =
+  let persisted_block = Ledger.latest_block t.ledger in
+  if t.cfg.batching then
+    List.map
+      (fun (k, v) ->
+        let predicted = Committed_map.predict t.cmap ~persisted_block k in
+        Committed_map.add t.cmap ~predicted k v tid;
+        (k, v, predicted))
+      writes
+  else if writes = [] then []
+  else begin
+    (* One block per transaction: its position in the queue decides the
+       block number for all of its keys.  Read-only participants must not
+       enqueue — they would consume a block position without ever
+       producing a block. *)
+    let predicted = persisted_block + Queue.length t.txn_blocks + 1 in
+    Queue.add (tid, writes) t.txn_blocks;
+    List.map
+      (fun (k, v) ->
+        Committed_map.add t.cmap ~predicted k v tid;
+        (k, v, predicted))
+      writes
+  end
 
 (* --- transaction phases --- *)
 
@@ -371,34 +352,12 @@ let commit t ?ctx tid =
     ignore
       (Storage.Wal.append t.wal ~kind:"commit"
          ~payload:(wal_commit_payload tid rw.Kv.writes));
-    let persisted = Ledger.latest_block t.ledger in
     let promises =
-      if t.cfg.batching then
-        List.map
-          (fun (k, v) ->
-            let predicted =
-              Committed_map.predict ~fold:(fold_width t) t.cmap
-                ~persisted_block:persisted k
-            in
-            Committed_map.add t.cmap ~predicted k v tid;
-            { pr_shard = t.id; pr_tid = tid; pr_key = k; pr_value = v;
-              pr_block = predicted })
-          rw.Kv.writes
-      else if rw.Kv.writes = [] then []
-      else begin
-        (* One block per transaction: its position in the queue decides the
-           block number for all of its keys.  Read-only participants must
-           not enqueue — they would consume a block position without ever
-           producing a block. *)
-        let predicted = persisted + Queue.length t.txn_blocks + 1 in
-        Queue.add (tid, rw.Kv.writes) t.txn_blocks;
-        List.map
-          (fun (k, v) ->
-            Committed_map.add t.cmap ~predicted k v tid;
-            { pr_shard = t.id; pr_tid = tid; pr_key = k; pr_value = v;
-              pr_block = predicted })
-          rw.Kv.writes
-      end
+      List.map
+        (fun (k, v, predicted) ->
+          { pr_shard = t.id; pr_tid = tid; pr_key = k; pr_value = v;
+            pr_block = predicted })
+        (enqueue t tid rw.Kv.writes)
     in
     if t.cfg.sync_persist && rw.Kv.writes <> [] then
       ignore (persist t ~now:(Sim.now ()));
@@ -430,11 +389,6 @@ let get t k =
     (match Ledger.get t.ledger k with
      | Some (v, version, _) -> Some (v, version)
      | None -> None)
-
-let get_at t k ~block =
-  match Ledger.get ~block t.ledger k with
-  | Some (v, version, _) -> Some (v, version)
-  | None -> None
 
 let get_history t k ~n = Ledger.get_history t.ledger k ~n
 
@@ -476,16 +430,6 @@ let get_verified_at t k ~block ~from =
         vr_proof = proof;
         vr_append = appendp;
         vr_digest = Ledger.digest t.ledger }
-
-let get_proof t promise ~from =
-  if Ledger.latest_block t.ledger < promise.pr_block then None
-  else begin
-    let proof = Ledger.prove_inclusion t.ledger promise.pr_key ~block:promise.pr_block in
-    let appendp =
-      Ledger.prove_append_only t.ledger ~old_block:from.Ledger.block_no
-    in
-    Some (proof, appendp, Ledger.digest t.ledger)
-  end
 
 let get_proofs t promises ~from =
   (* Deferred-verification flush: group the persisted promises by block and
@@ -587,20 +531,15 @@ let recover t =
         ()
       | _ -> ())
     (Storage.Wal.records_from t.wal 0);
-  let persisted_block = Ledger.latest_block t.ledger in
+  (* Re-queue the unpersisted writes as [commit] queued them, in commit
+     order: a no-BA transaction stays one queue entry, one block. *)
   List.iter
     (fun (tid, writes) ->
-      List.iter
-        (fun (k, v) ->
-          if not (Hashtbl.mem persisted (tid, k)) then begin
-            let predicted =
-              Committed_map.predict ~fold:(fold_width t) t.cmap
-                ~persisted_block k
-            in
-            Committed_map.add t.cmap ~predicted k v tid;
-            if not t.cfg.batching then Queue.add (tid, [ (k, v) ]) t.txn_blocks
-          end)
-        writes)
+      ignore
+        (enqueue t tid
+           (List.filter
+              (fun (k, _) -> not (Hashtbl.mem persisted (tid, k)))
+              writes)))
     (List.rev !commits);
   Obs.Metrics.inc
     (Obs.Metrics.counter ~name:"glassdb.node.recoveries" ~labels:t.labels ());

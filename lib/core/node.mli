@@ -18,15 +18,10 @@ type config = {
   pattern_bits : int;
   cost : Cost.t;
   queue_capacity : int;     (** max in-flight transactions before aborting *)
-  blocks_per_hashify : int;
-      (** committed-map layers folded into one block per hashify (batched
-          mode).  1 = one layer per block, the exact legacy behavior.
-          With larger folds, versions of a key superseded inside one
-          folded group never reach the ledger, so their deferred promises
-          cannot be proven — keep 1 when clients verify every write. *)
 }
-
-val default_config : config
+(** Built from a deployment's [Config.t] by [Config.node]; each block
+    holds at most one version of any key, so every deferred promise names
+    a block that will contain exactly the promised version. *)
 
 type t
 
@@ -39,7 +34,6 @@ val disk : t -> Sim.Resource.t
 (** Capacity-1 storage device: all persisted bytes of this node serialize
     through it. *)
 
-val config_of : t -> config
 val store : t -> Storage.Node_store.t
 (** Backing node store (for storage-consumption measurements). *)
 
@@ -78,7 +72,8 @@ val persist : t -> now:float -> int
     blocks created.  Called internally when [sync_persist] is set. *)
 
 val pending_blocks : t -> int
-(** Blocks a full drain would build right now. *)
+(** Blocks a full drain would build right now: the deepest per-key queue
+    under batching, the queued transactions without it. *)
 
 val persist_cost : t -> int
 (** Key + value bytes a full drain would push through the tree (0 for a
@@ -103,9 +98,6 @@ val wal_records : t -> int
 val get : t -> Kv.key -> (Kv.value * Kv.version) option
 (** Latest value: newest pending version if any, else the ledger's. *)
 
-val get_at : t -> Kv.key -> block:int -> (Kv.value * Kv.version) option
-(** Historical read from a persisted block. *)
-
 val get_history : t -> Kv.key -> n:int -> (Kv.value * int) list
 
 val digest : t -> Ledger.digest
@@ -121,12 +113,6 @@ val get_verified_latest : t -> Kv.key -> from:Ledger.digest -> verified_read opt
 (** [None] when nothing is persisted yet or the client digest is unknown. *)
 
 val get_verified_at : t -> Kv.key -> block:int -> from:Ledger.digest -> verified_read option
-
-val get_proof :
-  t -> promise -> from:Ledger.digest ->
-  (Ledger.proof * Ledger.append_proof * Ledger.digest) option
-(** Deferred verification: [None] while the promised block is not yet
-    persisted. *)
 
 val get_proofs :
   t -> promise list -> from:Ledger.digest ->
@@ -156,12 +142,13 @@ val crash : t -> unit
 
 val recover : t -> unit
 (** Reboot: reset volatile state and replay the WAL — committed writes not
-    covered by a later "block" record are re-queued for persistence at the
-    correct block sequence; prepared-but-undecided transactions are
-    conservatively aborted; torn trailing records are skipped.  Replay is
-    idempotent.  Emits a [recovery.wal_replay] span and bumps the
-    [glassdb.node.recoveries] / [glassdb.node.wal_replayed_records]
-    counters. *)
+    covered by a later "block" record are re-queued for persistence in
+    commit order, with the block predictions {!commit} made for them (one
+    queue entry per transaction in no-BA mode); prepared-but-undecided
+    transactions are conservatively aborted; torn trailing records are
+    skipped.  Replay is idempotent.  Emits a [recovery.wal_replay] span
+    and bumps the [glassdb.node.recoveries] /
+    [glassdb.node.wal_replayed_records] counters. *)
 
 val committed_fingerprint : t -> Glassdb_util.Hash.t
 (** Content hash of the committed-data map (see

@@ -12,18 +12,16 @@ let queue_of t k =
     Hashtbl.replace t.table k q;
     q
 
-let predict ?(fold = 1) t ~persisted_block k =
-  if fold < 1 then invalid_arg "Committed_map.predict: fold";
+let predict t ~persisted_block k =
   let depth =
     match Hashtbl.find_opt t.table k with
     | None -> 0
     | Some q -> Queue.length q
   in
-  (* Under folded persistence every drained group of [fold] layers becomes
-     one block, so queue position p lands in block
-     persisted + floor(p / fold) + 1; the new version enters at position
-     [depth]. *)
-  persisted_block + (depth / fold) + 1
+  (* Every batched block drains one pending version per key, so the new
+     version, entering at queue position [depth], lands [depth + 1] blocks
+     after the persisted head. *)
+  persisted_block + depth + 1
 
 let add t ~predicted k value tid =
   Queue.add { value; predicted; tid } (queue_of t k)
@@ -87,11 +85,6 @@ let max_depth t =
     t.table 0
 
 let is_empty t = pending_keys t = 0
-
-let pending_versions t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> 0
-  | Some q -> Queue.length q
 
 let clear t = Hashtbl.reset t.table
 

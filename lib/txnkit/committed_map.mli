@@ -13,12 +13,9 @@ type t
 
 val create : unit -> t
 
-val predict : ?fold:int -> t -> persisted_block:int -> Kv.key -> int
-(** Block number the next version of [key] will land in, assuming batched
-    persistence draining [fold] layers per block (default 1 — one layer
-    per block).  With [fold > 1], versions of the same key superseded
-    inside one folded group share a predicted block but only the newest
-    survives into it.  Raises [Invalid_argument] when [fold < 1]. *)
+val predict : t -> persisted_block:int -> Kv.key -> int
+(** Block number the next version of [key] will land in under batched
+    persistence: the persisted block plus the key's queue depth plus one. *)
 
 val add : t -> predicted:int -> Kv.key -> Kv.value -> Kv.txn_id -> unit
 (** Queue a committed write with its predicted block number. *)
@@ -44,8 +41,6 @@ val max_depth : t -> int
 (** Deepest per-key queue = number of batched blocks a full drain builds. *)
 
 val is_empty : t -> bool
-
-val pending_versions : t -> Kv.key -> int
 
 val clear : t -> unit
 (** Forget everything (crash simulation: the map is volatile memory). *)

@@ -22,7 +22,7 @@ let test_ycsb_mix_ratios () =
   let rng = Glassdb_util.Rng.create 1 in
   let count_writes mix =
     let cfg = { tiny_ycsb with Ycsb.mix } in
-    let ops = Ycsb.txn_ops rng cfg in
+    let ops = Ycsb.txn_ops rng cfg (Ycsb.keys cfg) in
     List.length
       (List.filter (function Ycsb.Op_put _ -> true | _ -> false) ops)
   in
@@ -32,8 +32,9 @@ let test_ycsb_mix_ratios () =
 
 let test_ycsb_distinct_keys_in_txn () =
   let rng = Glassdb_util.Rng.create 2 in
+  let keys = Ycsb.keys tiny_ycsb in
   for _ = 1 to 20 do
-    let ops = Ycsb.txn_ops rng tiny_ycsb in
+    let ops = Ycsb.txn_ops rng tiny_ycsb keys in
     let keys =
       List.map (function Ycsb.Op_get k -> k | Ycsb.Op_put (k, _) -> k) ops
     in
@@ -41,6 +42,48 @@ let test_ycsb_distinct_keys_in_txn () =
     Alcotest.(check int) "no duplicate keys" (List.length keys)
       (List.length distinct)
   done
+
+(* A run builds the Zipf table once and shares it; a seeded run must draw
+   the same keys as one that rebuilds the table for every operation. *)
+let test_ycsb_shared_table_same_keys () =
+  let cfg = { tiny_ycsb with Ycsb.theta = 0.9 } in
+  let op_key = function Ycsb.Op_get k -> k | Ycsb.Op_put (k, _) -> k in
+  let txn_keys ~rebuild =
+    let rng = Glassdb_util.Rng.create 11 and shared = Ycsb.keys cfg in
+    List.concat
+      (List.init 50 (fun _ ->
+           let keys = if rebuild then Ycsb.keys cfg else shared in
+           List.map op_key (Ycsb.txn_ops rng cfg keys)))
+  in
+  let shared = txn_keys ~rebuild:false in
+  Alcotest.(check (list string)) "txn_ops keys" (txn_keys ~rebuild:true)
+    shared;
+  Alcotest.(check bool) "keys vary" true
+    (List.length (List.sort_uniq compare shared) > 10);
+  (* run_verified_op: record the key each verified put reaches the client
+     with. *)
+  let put_keys ~rebuild =
+    let seen = ref [] in
+    let unused _ = invalid_arg "stub client" in
+    let client =
+      { System.c_execute = unused;
+        c_execute_verified = unused;
+        c_verified_put = (fun k _ -> seen := k :: !seen; Ok ());
+        c_verified_get_latest = unused;
+        c_verified_get_historical = unused;
+        c_flush = (fun ~force:_ -> []);
+        c_history = (fun _ ~n:_ -> 0);
+        c_failures = (fun () -> 0) }
+    in
+    let rng = Glassdb_util.Rng.create 12 and shared = Ycsb.keys cfg in
+    for _ = 1 to 100 do
+      let keys = if rebuild then Ycsb.keys cfg else shared in
+      ignore (Ycsb.run_verified_op client rng cfg keys Ycsb.V_put)
+    done;
+    List.rev !seen
+  in
+  Alcotest.(check (list string)) "run_verified_op keys"
+    (put_keys ~rebuild:true) (put_keys ~rebuild:false)
 
 let test_workload_mixes () =
   let rng = Glassdb_util.Rng.create 3 in
@@ -107,7 +150,8 @@ let test_timeline_crash_dip () =
     Driver.run_timeline
       { (tiny_setup Adapters.glassdb) with Driver.duration = 8.0 }
       ~load:(fun c -> Ycsb.load c tiny_ycsb)
-      ~body:(fun client rng -> Ycsb.run_txn client rng tiny_ycsb)
+      ~body:(let keys = Ycsb.keys tiny_ycsb in
+             fun client rng -> Ycsb.run_txn client rng tiny_ycsb keys)
       ~events:
         [ (3.0, fun a -> a.System.a_crash 0);
           (5.0, fun a -> a.System.a_recover 0) ]
@@ -227,6 +271,8 @@ let () =
     [ ("ycsb",
        [ Alcotest.test_case "mix ratios" `Quick test_ycsb_mix_ratios;
          Alcotest.test_case "distinct keys per txn" `Quick test_ycsb_distinct_keys_in_txn;
+         Alcotest.test_case "shared Zipf table draws same keys" `Quick
+           test_ycsb_shared_table_same_keys;
          Alcotest.test_case "verified workload mixes" `Quick test_workload_mixes ]);
       ("driver",
        [ Alcotest.test_case "glassdb" `Quick test_driver_glassdb;

@@ -242,7 +242,7 @@ let test_ledger_append_only_detects_fork () =
     (Ledger.verify_append_only ~old_digest:fork_digests.(6)
        ~new_digest:(Ledger.digest main) p)
 
-(* --- Layered write path (DESIGN.md §4j): staged API --- *)
+(* --- Staged write path (DESIGN.md §4j) --- *)
 
 module Codec = Glassdb_util.Codec
 module Pool = Glassdb_util.Pool
@@ -267,188 +267,63 @@ let mk_batches ~seed ~n_batches ~batch_size =
       done;
       (float_of_int b, List.rev !writes))
 
-let rec chunk n = function
-  | [] -> []
-  | xs ->
-    let rec take k acc = function
-      | rest when k = 0 -> (List.rev acc, rest)
-      | [] -> (List.rev acc, [])
-      | x :: rest -> take (k - 1) (x :: acc) rest
-    in
-    let g, rest = take n [] xs in
-    g :: chunk n rest
+(* Stage and hashify [seed]'s batches, one block each, and collect what a
+   pool-size change must leave byte-identical: digest, store node count,
+   current-value proofs, histories and an append-only proof. *)
+let staged_outputs ~seed =
+  let store = Storage.Node_store.create () in
+  let l =
+    List.fold_left
+      (fun l (time, writes) ->
+        fst (Ledger.hashify l (Ledger.stage l ~time ~writes ~txns:[])))
+      (Ledger.create (Ledger.config store))
+      (mk_batches ~seed ~n_batches:8 ~batch_size:12)
+  in
+  let keys = [ "key-00"; "key-17"; "key-39" ] in
+  ( Ledger.digest l,
+    Storage.Node_store.node_count store,
+    List.map
+      (fun k -> Codec.to_string Ledger.encode_proof (Ledger.prove_current l k))
+      keys,
+    List.map (fun k -> Ledger.get_history l k ~n:20) keys,
+    Codec.to_string Ledger.encode_append_proof
+      (Ledger.prove_append_only l ~old_block:0) )
 
-(* Reference merge, independent of Layer.fold_merge: newest version per
-   key, kept at the position of its newest occurrence. *)
-let merge_writes wss =
-  let seen = Hashtbl.create 16 in
-  List.concat wss |> List.rev
-  |> List.filter (fun wr ->
-         if Hashtbl.mem seen wr.Ledger.wkey then false
-         else (Hashtbl.replace seen wr.Ledger.wkey (); true))
-  |> List.rev
-
-let check_equiv_one ~seed ~width =
-  let ctx msg = Printf.sprintf "seed %d width %d: %s" seed width msg in
-  let batches = mk_batches ~seed ~n_batches:8 ~batch_size:12 in
-  let groups = chunk width batches in
-  let store_a = Storage.Node_store.create () in
-  let store_b = Storage.Node_store.create () in
-  let a = ref (Ledger.create (Ledger.config store_a)) in
-  let b = ref (Ledger.create (Ledger.config store_b)) in
-  List.iter
-    (fun g ->
-      (* Reference path: hand-merged single-layer append_block. *)
-      let time, _ = List.nth g (List.length g - 1) in
-      a := Ledger.append_block !a ~time
-          ~writes:(merge_writes (List.map snd g)) ~txns:[];
-      (* Layered path: stage each batch, fold the stack, hashify once. *)
-      let staged =
-        Ledger.fold
-          (List.map (fun (time, writes) -> Ledger.stage !b ~time ~writes ~txns:[]) g)
-      in
-      let b', _ = Ledger.hashify !b staged in
-      b := b')
-    groups;
-  if not (Ledger.digest_equal (Ledger.digest !a) (Ledger.digest !b)) then
-    Alcotest.fail (ctx "digests diverge");
-  Alcotest.(check int) (ctx "store node counts")
-    (Storage.Node_store.node_count store_a)
-    (Storage.Node_store.node_count store_b);
-  List.iter
-    (fun k ->
-      Alcotest.(check string) (ctx ("proof bytes for " ^ k))
-        (Codec.to_string Ledger.encode_proof (Ledger.prove_current !a k))
-        (Codec.to_string Ledger.encode_proof (Ledger.prove_current !b k));
-      Alcotest.(check (list (pair string int))) (ctx ("history of " ^ k))
-        (Ledger.get_history !a k ~n:20)
-        (Ledger.get_history !b k ~n:20))
-    [ "key-00"; "key-17"; "key-39" ];
-  Alcotest.(check string) (ctx "append-only proof bytes")
-    (Codec.to_string Ledger.encode_append_proof
-       (Ledger.prove_append_only !a ~old_block:0))
-    (Codec.to_string Ledger.encode_append_proof
-       (Ledger.prove_append_only !b ~old_block:0))
-
-let test_layered_equivalence_property () =
+let test_pool_equivalence_property () =
   let orig = Pool.global_size () in
   Fun.protect ~finally:(fun () -> Pool.set_global_size orig) (fun () ->
+      let run pool =
+        Pool.set_global_size pool;
+        List.init 10 (fun seed -> staged_outputs ~seed)
+      in
+      let reference = run 1 in
       List.iter
         (fun pool ->
-          Pool.set_global_size pool;
-          List.iter
-            (fun width ->
-              for seed = 0 to 9 do
-                check_equiv_one ~seed ~width
-              done)
-            [ 1; 2; 4; 8 ])
-        [ 1; 2; 4 ])
-
-let test_staged_read_through () =
-  let l = mk_ledger () in
-  let l = Ledger.append_block l ~time:0.
-      ~writes:[ w "a" "base-a" "t0"; w "b" "base-b" "t0"; w "d" "base-d" "t0" ]
-      ~txns:[] in
-  let s1 = Ledger.stage l ~time:1.
-      ~writes:[ w "a" "mid-a" "t1"; w "c" "mid-c" "t1" ] ~txns:[] in
-  let s2 = Ledger.stage l ~time:2. ~writes:[ w "a" "top-a" "t2" ] ~txns:[] in
-  let s = Ledger.fold [ s1; s2 ] in
-  Alcotest.(check int) "two layers" 2 (Ledger.staged_layers s);
-  Alcotest.(check (option string)) "newest layer wins" (Some "top-a")
-    (Ledger.staged_get l s "a");
-  Alcotest.(check (option string)) "older layer visible" (Some "mid-c")
-    (Ledger.staged_get l s "c");
-  Alcotest.(check (option string)) "flat fallthrough" (Some "base-b")
-    (Ledger.staged_get l s "b");
-  Alcotest.(check (option string)) "absent everywhere" None
-    (Ledger.staged_get l s "zzz");
-  (* Merged view: superseded a dropped, newest kept at newest position. *)
-  Alcotest.(check (list string)) "merged write order" [ "c"; "a" ]
-    (List.map (fun wr -> wr.Ledger.wkey) (Ledger.staged_writes s));
-  Alcotest.(check (list string)) "merged values" [ "mid-c"; "top-a" ]
-    (List.map (fun wr -> wr.Ledger.wvalue) (Ledger.staged_writes s));
-  Alcotest.(check (list (pair string string))) "scan overlay"
-    [ ("a", "top-a"); ("b", "base-b"); ("c", "mid-c"); ("d", "base-d") ]
-    (Ledger.staged_scan l s ~lo:"a" ~hi:"e");
-  Alcotest.(check (list (pair string string))) "scan bounds"
-    [ ("b", "base-b"); ("c", "mid-c") ]
-    (Ledger.staged_scan l s ~lo:"b" ~hi:"d");
-  (* Hashify commits the merged view as one block. *)
-  let l', hdr = Ledger.hashify l s in
-  Alcotest.(check int) "one block" 1 hdr.Ledger.block_no;
-  Alcotest.(check int) "two merged writes" 2 hdr.Ledger.n_writes;
-  Alcotest.(check bool) "newest layer's time" true (hdr.Ledger.time = 2.);
-  (match Ledger.get l' "a" with
-   | Some ("top-a", 1, 0) -> ()
-   | _ -> Alcotest.fail "committed read of a");
-  match Ledger.get l' "c" with
-  | Some ("mid-c", 1, -1) -> ()
-  | _ -> Alcotest.fail "committed read of c"
+          List.iteri
+            (fun seed (expected, got) ->
+              let d, nodes, proofs, histories, appendp = expected in
+              let d', nodes', proofs', histories', appendp' = got in
+              let ctx msg =
+                Printf.sprintf "seed %d pool %d: %s" seed pool msg
+              in
+              if not (Ledger.digest_equal d d') then
+                Alcotest.fail (ctx "digests diverge");
+              Alcotest.(check int) (ctx "store node counts") nodes nodes';
+              Alcotest.(check (list string)) (ctx "proof bytes") proofs proofs';
+              Alcotest.(check (list (list (pair string int))))
+                (ctx "histories") histories histories';
+              Alcotest.(check string) (ctx "append-only proof bytes")
+                appendp appendp')
+            (List.combine reference (run pool)))
+        [ 2; 4 ])
 
 let test_staged_base_mismatch_rejected () =
   let l0 = mk_ledger () in
   let l1 = Ledger.append_block l0 ~time:0. ~writes:[ w "a" "1" "t" ] ~txns:[] in
   let s0 = Ledger.stage l0 ~time:1. ~writes:[ w "b" "2" "t" ] ~txns:[] in
-  let s1 = Ledger.stage l1 ~time:1. ~writes:[ w "c" "3" "t" ] ~txns:[] in
-  (match Ledger.fold [ s0; s1 ] with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "fold across different bases must be rejected");
-  (match Ledger.fold [] with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "empty fold must be rejected");
   match Ledger.hashify l1 s0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "hashify against a different version must be rejected"
-
-let test_folded_block_survives_snapshot_eviction () =
-  (* A block built by a folded hashify, later evicted by snapshot
-     retention, must rebuild from the store (Pos_tree.load) and answer
-     reads, scans and proofs exactly like a never-evicted ledger. *)
-  let build retention =
-    let store = Storage.Node_store.create () in
-    let l = ref (Ledger.create (Ledger.config ~snapshot_retention:retention store)) in
-    let batches =
-      List.init 4 (fun i ->
-          ( float_of_int i,
-            List.init 6 (fun j ->
-                w (Printf.sprintf "k%d" ((i * 3 + j) mod 10))
-                  (Printf.sprintf "v%d.%d" i j)
-                  "t") ))
-    in
-    let staged =
-      Ledger.fold
-        (List.map (fun (time, writes) -> Ledger.stage !l ~time ~writes ~txns:[]) batches)
-    in
-    let l0, hdr = Ledger.hashify !l staged in
-    Alcotest.(check int) "folded into block 0" 0 hdr.Ledger.block_no;
-    l := l0;
-    for b = 1 to 6 do
-      l := Ledger.append_block !l ~time:(float_of_int (b + 4))
-          ~writes:[ w (Printf.sprintf "k%d" b) (Printf.sprintf "w%d" b) "t" ]
-          ~txns:[]
-    done;
-    !l
-  in
-  let evicted = build 1 and resident = build 100 in
-  Alcotest.(check int) "snapshot really evicted" 1
-    (Ledger.resident_snapshots evicted);
-  Alcotest.(check bool) "same digest" true
-    (Ledger.digest_equal (Ledger.digest evicted) (Ledger.digest resident));
-  for i = 0 to 9 do
-    let k = Printf.sprintf "k%d" i in
-    if Ledger.get ~block:0 evicted k <> Ledger.get ~block:0 resident k then
-      Alcotest.failf "get %s at block 0 diverges after rebuild" k
-  done;
-  Alcotest.(check bool) "scan of the folded block matches" true
-    (Ledger.scan ~block:0 evicted ~lo:"" ~hi:"kz"
-     = Ledger.scan ~block:0 resident ~lo:"" ~hi:"kz");
-  let d = Ledger.digest evicted in
-  let expected =
-    Option.map (fun (v, _, _) -> v) (Ledger.get ~block:0 resident "k5")
-  in
-  let p = Ledger.prove_inclusion evicted "k5" ~block:0 in
-  Alcotest.(check bool) "proof from the rebuilt folded block" true
-    (Ledger.verify_inclusion ~digest:d ~key:"k5" ~value:expected p)
 
 let test_proof_codecs_match_legacy () =
   let l = ref (mk_ledger ()) in
@@ -861,13 +736,10 @@ let () =
          Alcotest.test_case "append-only proofs" `Quick test_ledger_append_only_proofs;
          Alcotest.test_case "fork detection" `Quick test_ledger_append_only_detects_fork ]);
       ("layered",
-       [ Alcotest.test_case "10-seed fold/pool equivalence" `Quick
-           test_layered_equivalence_property;
-         Alcotest.test_case "staged read-through" `Quick test_staged_read_through;
+       [ Alcotest.test_case "10-seed pool equivalence" `Quick
+           test_pool_equivalence_property;
          Alcotest.test_case "base mismatch rejected" `Quick
            test_staged_base_mismatch_rejected;
-         Alcotest.test_case "folded block survives eviction" `Quick
-           test_folded_block_survives_snapshot_eviction;
          Alcotest.test_case "proof codecs match legacy" `Quick
            test_proof_codecs_match_legacy ]);
       ("transactions",

@@ -331,6 +331,62 @@ let promise_roundtrip ?batching ?sync_persist () =
 
 let test_promises_batched_mode () = promise_roundtrip ()
 
+(* Every promise issued across a crash verifies: recovery must re-queue the
+   unpersisted writes exactly as [commit] queued them, so neither the
+   pre-crash promises nor the predictions made after the reboot drift off
+   their blocks.  One shard, ten transactions of [keys_per_txn] distinct
+   keys over a 4-key space; the shard crashes and recovers (before its
+   persister wakes) ahead of a seed-chosen commit. *)
+let crash_promise_roundtrip ~seed ~batching ~keys_per_txn =
+  with_cluster ~shards:1 ~batching (fun cl ->
+      let ctx msg =
+        Printf.sprintf "seed %d batching %b keys %d: %s" seed batching
+          keys_per_txn msg
+      in
+      let rng = Random.State.make [| 0x5eed; seed |] in
+      let crash_at = 2 + Random.State.int rng 7 in
+      let c =
+        Client.create ~rpc_timeout:1.0 ~verify_delay:0.05 cl ~id:1 ~sk:"k"
+      in
+      let n_txns = 10 in
+      for i = 0 to n_txns - 1 do
+        if i = crash_at then begin
+          Cluster.crash_node cl 0;
+          Cluster.recover_node cl 0
+        end;
+        let first = Random.State.int rng 4 in
+        let keys =
+          List.init keys_per_txn (fun j ->
+              Printf.sprintf "c%d" ((first + j) mod 4))
+        in
+        match
+          Client.execute c (fun h ->
+              List.iter
+                (fun k -> Client.put h k (Printf.sprintf "%d.%s" i k))
+                keys)
+        with
+        | Ok (_, promises) -> Client.queue_promises c promises
+        | Error e -> Alcotest.failf "%s" (ctx (Error.to_string e))
+      done;
+      Sim.sleep 0.5;
+      let vs = Client.flush_verifications c () in
+      Alcotest.(check int) (ctx "all promises verified")
+        (n_txns * keys_per_txn)
+        (List.fold_left (fun a v -> a + v.Client.v_keys) 0 vs);
+      Alcotest.(check int) (ctx "no failures") 0
+        (Client.verification_failures c))
+
+let test_promises_across_crash () =
+  for seed = 0 to 4 do
+    List.iter
+      (fun batching ->
+        List.iter
+          (fun keys_per_txn ->
+            crash_promise_roundtrip ~seed ~batching ~keys_per_txn)
+          [ 1; 2 ])
+      [ true; false ]
+  done
+
 let test_no_ba_predictions_with_readonly_participants () =
   (* Regression: a cross-shard transaction whose slice on some shard is
      read-only must not consume a block position there (it never produces
@@ -524,6 +580,8 @@ let () =
            test_checkpoint_truncates_wal ]);
       ("promises",
        [ Alcotest.test_case "batched mode" `Quick test_promises_batched_mode;
+         Alcotest.test_case "every promise verifies across a crash" `Quick
+           test_promises_across_crash;
          Alcotest.test_case "no-BA read-only participants" `Quick
            test_no_ba_predictions_with_readonly_participants;
          Alcotest.test_case "no-batching mode" `Quick test_promises_no_batching;

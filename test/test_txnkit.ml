@@ -125,7 +125,7 @@ let test_cmap_pop_key () =
   (match Cmap.pop_key m "k" with
    | Some ("a", 1, "t1") -> ()
    | _ -> Alcotest.fail "fifo pop");
-  Alcotest.(check int) "one left" 1 (Cmap.pending_versions m "k");
+  Alcotest.(check int) "one left" 1 (Cmap.max_depth m);
   Alcotest.(check bool) "absent key pops None" true (Cmap.pop_key m "z" = None)
 
 (* --- signed transactions --- *)
