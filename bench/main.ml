@@ -105,13 +105,7 @@ let experiments : (string * string * (unit -> unit)) list =
      fun () ->
        Recovery.run_and_write
          ~quick:(!Common.profile == Common.quick)
-         ~path:"BENCH_4.json" ());
-    ("bench5",
-     "domain-pool sweep: speedup + digest stability (writes BENCH_5.json)",
-     fun () ->
-       Bench5.run_and_write
-         ~quick:(!Common.profile == Common.quick)
-         ~pool_sizes:[ 1; 2; 4; 8 ] ~path:"BENCH_5.json" ()) ]
+         ~path:"BENCH_4.json" ()) ]
 
 let run_suite quick names =
   if quick then Common.profile := Common.quick;

@@ -9,7 +9,6 @@ type t = {
 }
 
 let create cfg =
-  Glassdb_util.Pool.set_work_threshold cfg.Config.pool_work_threshold;
   { cfg;
     nodes =
       Array.init cfg.Config.shards (fun i ->
@@ -88,21 +87,13 @@ let persister t nd =
   loop ()
 
 (* Drain every live shard's committed backlog in one go, outside the
-   simulator's event loop (bench harnesses, end-of-run flushes).  Shards
-   share no state — each node owns its ledger, WAL and node store — so the
-   per-node drains fan out across the domain pool; block counts join in
-   shard order.  The tasks are Sim-free: [Node.persist] takes the
-   timestamp explicitly, and any nested pool use inside a drain (the tree
-   build) runs inline on the task's domain.  Granularity is cost-aware:
-   [Node.persist_cost] (backlog bytes) sizes the tasks, so a node with a
-   heavy backlog gets its own domain while near-empty sweeps bypass the
-   pool entirely. *)
+   simulator's event loop (bench harnesses, end-of-run flushes), in shard
+   order.  [Node.persist] takes the timestamp explicitly, so no simulator
+   effect runs. *)
 let persist_all t ~now =
-  Glassdb_util.Pool.parallel_map ~cost:Node.persist_cost
-    (Glassdb_util.Pool.global ())
-    (fun nd -> if Node.alive nd then Node.persist nd ~now else 0)
-    t.nodes
-  |> Array.fold_left ( + ) 0
+  Array.fold_left
+    (fun acc nd -> if Node.alive nd then acc + Node.persist nd ~now else acc)
+    0 t.nodes
 
 let crash_node t i =
   Obs.Trace.instant ~cat:"fault" ~attrs:[ ("shard", string_of_int i) ]

@@ -50,9 +50,8 @@ val call :
 val persist_all : t -> now:float -> int
 (** Drain every live shard's committed backlog into its ledger at
     timestamp [now], outside the simulator (bench harnesses, end-of-run
-    flushes); shards share no state, so the drains run concurrently on the
-    domain pool ({!Glassdb_util.Pool}).  Returns the total number of
-    blocks appended.  Byte-identical to draining the shards one by one. *)
+    flushes), in shard order.  Returns the total number of blocks
+    appended. *)
 
 val crash_node : t -> int -> unit
 (** Take the shard down (volatile state lost); emits a [fault.crash]

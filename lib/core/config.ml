@@ -6,7 +6,6 @@ type t = {
   sync_persist : bool;
   pattern_bits : int;
   queue_capacity : int;
-  pool_work_threshold : int;
   cost : Cost.t;
   rtt : float;
   bandwidth : float;
@@ -19,13 +18,11 @@ type t = {
 
 let make ?(shards = 4) ?(workers = 8) ?(persist_interval = 0.05)
     ?(batching = true) ?(sync_persist = false) ?(pattern_bits = 5)
-    ?(queue_capacity = 4096) ?(pool_work_threshold = 65536)
-    ?(cost = Cost.default) ?(rtt = 200e-6) ?(bandwidth = 125e6)
-    ?(rpc_timeout = 1.0) ?(rpc_retries = 2) ?(retry_backoff = 0.01)
-    ?(verify_delay = 0.1) ?faults () =
+    ?(queue_capacity = 4096) ?(cost = Cost.default) ?(rtt = 200e-6)
+    ?(bandwidth = 125e6) ?(rpc_timeout = 1.0) ?(rpc_retries = 2)
+    ?(retry_backoff = 0.01) ?(verify_delay = 0.1) ?faults () =
   if shards <= 0 then invalid_arg "Config.make: shards";
   if workers <= 0 then invalid_arg "Config.make: workers";
-  if pool_work_threshold < 0 then invalid_arg "Config.make: pool_work_threshold";
   if rpc_timeout <= 0. then invalid_arg "Config.make: rpc_timeout";
   if rpc_retries < 0 then invalid_arg "Config.make: rpc_retries";
   if retry_backoff < 0. then invalid_arg "Config.make: retry_backoff";
@@ -37,7 +34,6 @@ let make ?(shards = 4) ?(workers = 8) ?(persist_interval = 0.05)
     sync_persist;
     pattern_bits;
     queue_capacity;
-    pool_work_threshold;
     cost;
     rtt;
     bandwidth;

@@ -15,11 +15,6 @@ type t = {
   sync_persist : bool;      (** true = persist inside commit (no-DV) *)
   pattern_bits : int;       (** POS-tree split-pattern bits *)
   queue_capacity : int;     (** max in-flight txns per node before aborting *)
-  pool_work_threshold : int;
-  (** small-batch pool bypass threshold, in cost units (~bytes to hash):
-      cost-sized parallel maps below it run serially with zero task
-      submissions.  Applied to {!Glassdb_util.Pool.set_work_threshold} by
-      {!Cluster.create}. *)
   cost : Cost.t;            (** work → simulated-time model *)
   rtt : float;              (** network round trip, seconds *)
   bandwidth : float;        (** link bandwidth, bytes/second *)
@@ -38,7 +33,6 @@ val make :
   ?sync_persist:bool ->     (* false *)
   ?pattern_bits:int ->      (* 5 *)
   ?queue_capacity:int ->    (* 4096 *)
-  ?pool_work_threshold:int ->(* 65536 cost units (~bytes to hash) *)
   ?cost:Cost.t ->           (* Cost.default *)
   ?rtt:float ->             (* 200e-6 s: same-rack TCP *)
   ?bandwidth:float ->       (* 125e6 B/s: 1 Gbps *)

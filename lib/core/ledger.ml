@@ -182,9 +182,7 @@ let hashify t staged =
         (w.wkey, encode_payload ~value:w.wvalue ~version:block_no ~prev))
       writes
   in
-  (* One POS-tree batch and one root recompute cover the whole block; its
-     chunk builds fan out through the Pool-parallel hashing inside
-     [insert_batch]. *)
+  (* One POS-tree batch and one root recompute cover the whole block. *)
   let states = Pos_tree.insert_batch t.states updates in
   List.iter (fun (k, v) -> Storage.Bptree.insert t.flat k v) updates;
   let header =
@@ -438,39 +436,8 @@ let prove_inclusion_batch t keys ~block =
       bp_items = items }
   | _ -> invalid_arg "Ledger.prove_inclusion_batch: no such block"
 
-(* Serving a deferred-verification flush touches several blocks at once;
-   the per-block batch proofs are independent of each other, so their
-   assembly fans out across the domain pool.  State resolution stays
-   serial on the calling domain — rebuilding an evicted snapshot reads the
-   node store, and the store must observe the serial access order — while
-   the pool tasks only walk resident in-memory trees and serialize chunks.
-   Results join in block order, so the proof byte-strings and Work charges
-   are identical to mapping [prove_inclusion_batch] over the groups.
-   Tasks are sized by requested key bytes plus a fixed per-key walk charge
-   — a rough proxy for chunks serialized — so one-key flushes bypass the
-   pool while fat groups split. *)
 let prove_inclusion_batches t groups =
-  let resolved =
-    List.map
-      (fun (block, keys) ->
-        match (header_at t block, state_at t block) with
-        | Some header, Some st -> (block, keys, header, st)
-        | _ -> invalid_arg "Ledger.prove_inclusion_batches: no such block")
-      groups
-  in
-  let group_cost (_, keys, _, _) =
-    List.fold_left (fun acc k -> acc + String.length k + 512) 0 keys
-  in
-  Pool.parallel_map ~cost:group_cost (Pool.global ())
-    (fun (block, keys, header, st) ->
-      let lower, items = Pos_tree.prove_batch st keys in
-      { bp_block = block;
-        bp_header = header_bytes header;
-        bp_upper = Pos_tree.prove t.upper (block_key block);
-        bp_lower = lower;
-        bp_items = items })
-    (Array.of_list resolved)
-  |> Array.to_list
+  List.map (fun (block, keys) -> prove_inclusion_batch t keys ~block) groups
 
 (* Header and upper-tree inclusion are checked once for the whole batch;
    the multiproof then certifies every (key, payload) pair against the

@@ -268,21 +268,6 @@ let persist t ~now =
   done;
   !blocks
 
-(* Work estimate of a full drain, in bytes pushed through the POS tree:
-   the cluster persist sweep hands this to the pool's [~cost] hook so a
-   node with a heavy backlog gets its own task while idle nodes share
-   one. *)
-let persist_cost t =
-  if not t.is_alive then 0
-  else if t.cfg.batching then Committed_map.pending_bytes t.cmap
-  else
-    Queue.fold
-      (fun acc (_, writes) ->
-        List.fold_left
-          (fun acc (k, v) -> acc + String.length k + String.length v)
-          acc writes)
-      0 t.txn_blocks
-
 (* Queue committed writes for the persister and return each with its
    predicted block.  Both [commit] and WAL replay go through here, so a
    replayed version lands in the block its original promise named. *)
@@ -447,10 +432,6 @@ let get_proofs t promises ~from =
            :: Option.value ~default:[] (Hashtbl.find_opt by_block p.pr_block)))
     promises;
   let proofs =
-    (* Distinct blocks are proved in parallel through the domain pool,
-       with tasks sized by each group's key bytes (the ledger's cost
-       hook); results come back in block order, byte-identical to the
-       serial per-block mapping. *)
     Ledger.prove_inclusion_batches t.ledger
       (Det.sorted_bindings ~cmp:Int.compare by_block)
   in

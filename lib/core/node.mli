@@ -75,10 +75,6 @@ val pending_blocks : t -> int
 (** Blocks a full drain would build right now: the deepest per-key queue
     under batching, the queued transactions without it. *)
 
-val persist_cost : t -> int
-(** Key + value bytes a full drain would push through the tree (0 for a
-    dead node): the [~cost] estimate for the cluster-wide parallel
-    persist. *)
 
 val persist_step : t -> now:float -> bool
 (** Build at most one block; [false] when nothing is pending.  The

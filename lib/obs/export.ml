@@ -180,72 +180,6 @@ let metrics_fields () =
 
 let metrics_json () = to_string (Obj (metrics_fields ()))
 
-(* --- the glassdb.prof/v1 section --- *)
-
-let int' i = Num (float_of_int i)
-
-let prof_fields () =
-  let s = Prof.snapshot () in
-  let p = s.Prof.s_pool in
-  let w = p.Prof.p_wait in
-  [ ("schema", Str "glassdb.prof/v1");
-    ("enabled", Bool (Prof.enabled ()));
-    ( "pool",
-      Obj
-        [ ("pool_size", int' p.Prof.p_pool_size);
-          ("jobs", int' p.Prof.p_jobs);
-          ("parallel_jobs", int' p.Prof.p_parallel_jobs);
-          ("bypass_jobs", int' p.Prof.p_bypass_jobs);
-          ("bypass_items", int' p.Prof.p_bypass_items);
-          ("cost_units", int' p.Prof.p_cost_units);
-          ("nested_inline_jobs", int' p.Prof.p_nested_inline_jobs);
-          ("nested_inline_items", int' p.Prof.p_nested_inline_items);
-          ("tasks", int' p.Prof.p_tasks);
-          ("items", int' p.Prof.p_items);
-          ("chunk_min", int' p.Prof.p_chunk_min);
-          ("chunk_max", int' p.Prof.p_chunk_max);
-          ("span_s", Num p.Prof.p_span_s);
-          ("busy_s", Num p.Prof.p_busy_s);
-          ("idle_s", Num p.Prof.p_idle_s);
-          ( "queue_wait",
-            Obj
-              [ ("count", int' w.Prof.w_count);
-                ("sum_s", Num w.Prof.w_sum_s);
-                ("max_s", Num w.Prof.w_max_s);
-                ("p50_s", Num w.Prof.w_p50_s);
-                ("p99_s", Num w.Prof.w_p99_s) ] );
-          ( "domains",
-            Arr
-              (List.map
-                 (fun (d : Prof.domain_stat) ->
-                   let util =
-                     if p.Prof.p_span_s > 0. then
-                       d.Prof.d_busy_s /. p.Prof.p_span_s
-                     else 0.
-                   in
-                   Obj
-                     [ ("domain", int' d.Prof.d_id);
-                       ("tasks", int' d.Prof.d_tasks);
-                       ("items", int' d.Prof.d_items);
-                       ("busy_s", Num d.Prof.d_busy_s);
-                       ("utilization", Num util) ])
-                 p.Prof.p_domains) ) ] );
-    ( "locks",
-      Arr
-        (List.map
-           (fun (l : Glassdb_util.Pool.Lock.snapshot) ->
-             Obj
-               [ ("name", Str l.Glassdb_util.Pool.Lock.sn_name);
-                 ("locks", int' l.Glassdb_util.Pool.Lock.sn_locks);
-                 ("acquires", int' l.Glassdb_util.Pool.Lock.sn_acquires);
-                 ("contended", int' l.Glassdb_util.Pool.Lock.sn_contended);
-                 ("wait_s", Num l.Glassdb_util.Pool.Lock.sn_wait_s);
-                 ("max_wait_s", Num l.Glassdb_util.Pool.Lock.sn_max_wait_s);
-                 ("hold_s", Num l.Glassdb_util.Pool.Lock.sn_hold_s) ])
-           s.Prof.s_locks) ) ]
-
-let prof_json () = to_string (Obj (prof_fields ()))
-
 let write_file ~path text =
   let oc = open_out path in
   output_string oc text;

@@ -31,24 +31,16 @@ let max_gauge_samples = 100_000
 
 let registry : (string * labels, metric) Hashtbl.t = Hashtbl.create 64
 
-(* Registration, reset and sampling guard the registry table with a lock so
-   a pool task registering a metric can't race the main domain.  Handle hot
-   paths (inc/observe) stay lock-free field updates: a handle is private to
-   whichever domain's task is charging it, and tasks merge deterministically
-   at pool joins (see Glassdb_util.Pool). *)
-let registry_lock = Pool.Lock.create ~name:"metrics.registry" ()
-
-let reset () = Pool.Lock.with_lock registry_lock (fun () -> Hashtbl.reset registry)
+let reset () = Hashtbl.reset registry
 
 let find_or_register name labels make =
   let key = (name, canon labels) in
-  Pool.Lock.with_lock registry_lock (fun () ->
-      match Hashtbl.find_opt registry key with
-      | Some m -> m
-      | None ->
-        let m = make () in
-        Hashtbl.replace registry key m;
-        m)
+  match Hashtbl.find_opt registry key with
+  | Some m -> m
+  | None ->
+    let m = make () in
+    Hashtbl.replace registry key m;
+    m
 
 let counter ~name ?(labels = []) () =
   match
@@ -65,9 +57,8 @@ let gauge ~name ?(labels = []) read =
   (* Gauges are callbacks into live objects (a node's WAL, a resource
      pool); re-registering replaces the callback so a fresh cluster takes
      over its shard's gauge from a previous run. *)
-  Pool.Lock.with_lock registry_lock (fun () ->
-      Hashtbl.replace registry key
-        (Gauge { g_read = read; g_last = 0.; g_series = []; g_samples = 0 }))
+  Hashtbl.replace registry key
+    (Gauge { g_read = read; g_last = 0.; g_series = []; g_samples = 0 })
 
 let histogram ~name ?(labels = []) () =
   match
@@ -81,22 +72,19 @@ let observe h v = Lhist.add h v
 
 let sample_gauges now =
   (* Sampling is insertion-order independent: each gauge only touches
-     itself, so an unordered walk is safe.  The lock pins the table against
-     concurrent registration; gauge callbacks run on the sampling (main)
-     domain. *)
-  Pool.Lock.with_lock registry_lock (fun () ->
-      Det.unordered_iter
-        (fun _ m ->
-          match m with
-          | Gauge g ->
-            let v = g.g_read () in
-            g.g_last <- v;
-            if g.g_samples < max_gauge_samples then begin
-              g.g_series <- (now, v) :: g.g_series;
-              g.g_samples <- g.g_samples + 1
-            end
-          | Counter _ | Histogram _ -> ())
-        registry)
+     itself, so an unordered walk is safe. *)
+  Det.unordered_iter
+    (fun _ m ->
+      match m with
+      | Gauge g ->
+        let v = g.g_read () in
+        g.g_last <- v;
+        if g.g_samples < max_gauge_samples then begin
+          g.g_series <- (now, v) :: g.g_series;
+          g.g_samples <- g.g_samples + 1
+        end
+      | Counter _ | Histogram _ -> ())
+    registry
 
 (* --- snapshots --- *)
 
@@ -127,8 +115,7 @@ let compare_key (n1, l1) (n2, l2) =
   match String.compare n1 n2 with 0 -> compare_labels l1 l2 | c -> c
 
 let snapshot () =
-  Pool.Lock.with_lock registry_lock (fun () ->
-      Det.sorted_bindings ~cmp:compare_key registry)
+  Det.sorted_bindings ~cmp:compare_key registry
   |> List.map (fun ((name, labels), m) ->
       let value =
         match m with

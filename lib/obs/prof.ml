@@ -1,245 +1,19 @@
-open Glassdb_util
-
-(* Contention-and-utilization profiler: the policy half of the hooks that
-   Glassdb_util.Pool exposes (see pool.mli "Profiling hooks").
-
-   Pool job samples fold into per-domain busy totals, a queue-wait Lhist
-   and chunk-granularity counters; named Pool.Lock counters (node-store
-   shards, the metrics registry) are read straight from the pool's lock
-   registry.  Everything is wall-clock-free by construction: the clock is
-   injected at [enable] (benches pass Benchkit.Wallclock.now_s, tests pass
-   a fake counter, sim-deterministic runs keep the default Sim.now), so
-   this module stays below benchkit in the dependency order and lint rule
-   D001 holds.
-
-   Aggregation runs on the submitting domain (Pool calls pr_on_job at the
-   join); only the nested-inline counters, which tasks bump from worker
-   domains, are atomic. *)
-
-type domain_stat = {
-  d_id : int;
-  d_tasks : int;
-  d_items : int;
-  d_busy_s : float;
-}
-
-type wait_stats = {
-  w_count : int;
-  w_sum_s : float;
-  w_max_s : float;
-  w_p50_s : float;
-  w_p99_s : float;
-}
+type wait_stats = { w_p99_s : float }
 
 type pool_stats = {
-  p_pool_size : int;
-  p_jobs : int;
   p_parallel_jobs : int;
   p_bypass_jobs : int;
-  p_bypass_items : int;
-  p_cost_units : int;
-  p_nested_inline_jobs : int;
-  p_nested_inline_items : int;
-  p_tasks : int;
-  p_items : int;
-  p_chunk_min : int;  (* 0 when no jobs ran *)
-  p_chunk_max : int;
-  p_span_s : float;
   p_busy_s : float;
   p_idle_s : float;
   p_wait : wait_stats;
-  p_domains : domain_stat list;
 }
 
-type snapshot = {
-  s_pool : pool_stats;
-  s_locks : Pool.Lock.snapshot list;
-}
+type snapshot = { s_pool : pool_stats }
 
-type dcell = {
-  mutable c_tasks : int;
-  mutable c_items : int;
-  mutable c_busy_s : float;
-}
+let enable ?clock:_ () = ()
+let disable () = ()
 
-type state = {
-  mutable enabled : bool;
-  mutable clock : unit -> float;
-  mutable jobs : int;
-  mutable parallel_jobs : int;
-  mutable bypass_jobs : int;
-  mutable bypass_items : int;
-  mutable cost_units : int;
-  nested_jobs : int Atomic.t;
-  nested_items : int Atomic.t;
-  mutable tasks : int;
-  mutable items : int;
-  mutable chunk_min : int;  (* max_int sentinel *)
-  mutable chunk_max : int;
-  mutable span_s : float;
-  wait : Lhist.t;
-  domains : (int, dcell) Hashtbl.t;
-}
-
-let default_clock () = if Sim.in_simulation () then Sim.now () else 0.
-
-let st =
-  { enabled = false;
-    clock = default_clock;
-    jobs = 0;
-    parallel_jobs = 0;
-    bypass_jobs = 0;
-    bypass_items = 0;
-    cost_units = 0;
-    nested_jobs = Atomic.make 0;
-    nested_items = Atomic.make 0;
-    tasks = 0;
-    items = 0;
-    chunk_min = max_int;
-    chunk_max = 0;
-    span_s = 0.;
-    wait = Lhist.create ();
-    domains = Hashtbl.create 8 }
-
-let enabled () = st.enabled
-
-let reset () =
-  st.jobs <- 0;
-  st.parallel_jobs <- 0;
-  st.bypass_jobs <- 0;
-  st.bypass_items <- 0;
-  st.cost_units <- 0;
-  Atomic.set st.nested_jobs 0;
-  Atomic.set st.nested_items 0;
-  st.tasks <- 0;
-  st.items <- 0;
-  st.chunk_min <- max_int;
-  st.chunk_max <- 0;
-  st.span_s <- 0.;
-  Lhist.clear st.wait;
-  Hashtbl.reset st.domains;
-  Pool.Lock.reset_stats ()
-
-let dcell id =
-  match Hashtbl.find_opt st.domains id with
-  | Some c -> c
-  | None ->
-    let c = { c_tasks = 0; c_items = 0; c_busy_s = 0. } in
-    Hashtbl.replace st.domains id c;
-    c
-
-let on_job (j : Pool.job_sample) =
-  st.jobs <- st.jobs + 1;
-  if not j.Pool.js_inline then st.parallel_jobs <- st.parallel_jobs + 1;
-  if j.Pool.js_bypass then begin
-    st.bypass_jobs <- st.bypass_jobs + 1;
-    st.bypass_items <- st.bypass_items + j.Pool.js_items
-  end;
-  st.cost_units <- st.cost_units + j.Pool.js_cost;
-  st.tasks <- st.tasks + j.Pool.js_tasks;
-  st.items <- st.items + j.Pool.js_items;
-  if j.Pool.js_chunk < st.chunk_min then st.chunk_min <- j.Pool.js_chunk;
-  if j.Pool.js_chunk > st.chunk_max then st.chunk_max <- j.Pool.js_chunk;
-  st.span_s <- st.span_s +. j.Pool.js_span_s;
-  Array.iter
-    (fun (ts : Pool.task_sample) ->
-      Lhist.add st.wait ts.Pool.ts_wait_s;
-      let c = dcell ts.Pool.ts_domain in
-      c.c_tasks <- c.c_tasks + 1;
-      c.c_items <- c.c_items + ts.Pool.ts_items;
-      c.c_busy_s <- c.c_busy_s +. ts.Pool.ts_run_s)
-    j.Pool.js_samples
-
-let on_nested_inline items =
-  Atomic.incr st.nested_jobs;
-  ignore (Atomic.fetch_and_add st.nested_items items)
-
-let lock_totals () =
-  List.fold_left
-    (fun (acq, wait) (l : Pool.Lock.snapshot) ->
-      (acq + l.Pool.Lock.sn_acquires, wait +. l.Pool.Lock.sn_wait_s))
-    (0, 0.) (Pool.Lock.snapshot ())
-
-(* Aggregate gauges: sampled by Obs.Sampler into counter tracks next to
-   the spans.  Registered at [enable]; Metrics.reset drops them, so
-   harnesses that want prof counter tracks enable Prof after their own
-   reset. *)
-(* Float sums over the domain table go through a sorted drain: addition
-   rounding is order-sensitive, and these numbers feed exported JSON. *)
-let busy_total () =
-  List.fold_left
-    (fun acc (_, c) -> acc +. c.c_busy_s)
-    0.
-    (Det.sorted_bindings ~cmp:Int.compare st.domains)
-
-let register_gauges () =
-  Metrics.gauge ~name:"glassdb.prof.pool.busy_s" (fun () -> busy_total ());
-  Metrics.gauge ~name:"glassdb.prof.pool.queue_wait_s" (fun () ->
-      Lhist.sum st.wait);
-  Metrics.gauge ~name:"glassdb.prof.pool.tasks" (fun () ->
-      float_of_int st.tasks);
-  Metrics.gauge ~name:"glassdb.prof.lock.acquires" (fun () ->
-      float_of_int (fst (lock_totals ())));
-  Metrics.gauge ~name:"glassdb.prof.lock.wait_s" (fun () ->
-      snd (lock_totals ()))
-
-let enable ?clock () =
-  st.clock <- (match clock with Some c -> c | None -> default_clock);
-  reset ();
-  st.enabled <- true;
-  Pool.set_profiler
-    (Some
-       { Pool.pr_clock = st.clock;
-         pr_on_job = on_job;
-         pr_on_nested_inline = on_nested_inline });
-  register_gauges ()
-
-let disable () =
-  Pool.set_profiler None;
-  st.enabled <- false
-
-let pool_snapshot () =
-  let size = Pool.global_size () in
-  let busy = busy_total () in
-  (* Every domain of the current pool gets a row (zeroed if it never
-     claimed a task) so the schema shape is pool-size-invariant; stray ids
-     from earlier, larger pools are kept too. *)
-  let ids =
-    let seen = Det.sorted_bindings ~cmp:Int.compare st.domains in
-    let base = List.init size Fun.id in
-    List.sort_uniq Int.compare (base @ List.map fst seen)
-  in
-  let domains =
-    List.map
-      (fun id ->
-        match Hashtbl.find_opt st.domains id with
-        | Some c ->
-          { d_id = id; d_tasks = c.c_tasks; d_items = c.c_items;
-            d_busy_s = c.c_busy_s }
-        | None -> { d_id = id; d_tasks = 0; d_items = 0; d_busy_s = 0. })
-      ids
-  in
-  { p_pool_size = size;
-    p_jobs = st.jobs;
-    p_parallel_jobs = st.parallel_jobs;
-    p_bypass_jobs = st.bypass_jobs;
-    p_bypass_items = st.bypass_items;
-    p_cost_units = st.cost_units;
-    p_nested_inline_jobs = Atomic.get st.nested_jobs;
-    p_nested_inline_items = Atomic.get st.nested_items;
-    p_tasks = st.tasks;
-    p_items = st.items;
-    p_chunk_min = (if Int.equal st.chunk_min max_int then 0 else st.chunk_min);
-    p_chunk_max = st.chunk_max;
-    p_span_s = st.span_s;
-    p_busy_s = busy;
-    p_idle_s = Float.max 0. ((float_of_int size *. st.span_s) -. busy);
-    p_wait =
-      { w_count = Lhist.count st.wait;
-        w_sum_s = Lhist.sum st.wait;
-        w_max_s = (if Lhist.count st.wait = 0 then 0. else Lhist.max_value st.wait);
-        w_p50_s = Lhist.percentile st.wait 0.5;
-        w_p99_s = Lhist.percentile st.wait 0.99 };
-    p_domains = domains }
-
-let snapshot () = { s_pool = pool_snapshot (); s_locks = Pool.Lock.snapshot () }
+let snapshot () =
+  { s_pool =
+      { p_parallel_jobs = 0; p_bypass_jobs = 0; p_busy_s = 0.; p_idle_s = 0.;
+        p_wait = { w_p99_s = 0. } } }

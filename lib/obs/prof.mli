@@ -1,80 +1,30 @@
-(** Contention & pool-utilization profiler.
+(** Stub of the removed pool profiler.
 
-    The policy half of {!Glassdb_util.Pool}'s profiling hooks: while
-    enabled, every pool job's per-task samples fold into per-domain
-    busy/idle totals, a task-claim queue-wait histogram and
-    chunk-granularity counters, and every named {!Glassdb_util.Pool.Lock}
-    (node-store cache shards, the metrics registry) accumulates
-    acquire/contention/wait/hold counters.  Export as the
-    ["glassdb.prof/v1"] BENCH JSON section and as Chrome trace counter
-    tracks via {!Export}.
+    The library runs on one domain, so there are no pool jobs to profile.
+    This module exists only because the repository benchmark
+    ([perfbench/]) still calls {!enable}, {!disable} and {!snapshot} and
+    reads the fields below for its [pool.*] per-layer metrics; that
+    directory may change only in a benchmark PR.  Every field is always 0.
+    A later benchmark PR removes this module together with the [pool.*]
+    metrics. *)
 
-    Overhead discipline: disabled, the pool pays one atomic load per job
-    and locks one per acquire — and in either state profiling never
-    changes what the pool computes, so bench digests are byte-identical
-    with profiling on or off.  The clock is injected at {!enable} (no
-    ambient wall-clock below benchkit — lint rule D001): benches pass
-    [Benchkit.Wallclock.now_s], deterministic sim runs keep the default
-    ([Sim.now] inside a simulation, 0 outside), tests pass a fake.
-
-    Aggregation runs on the submitting domain; call {!snapshot} and
-    {!reset} only while the pool is quiescent. *)
-
-type domain_stat = {
-  d_id : int;       (** 0 = submitting domain; workers are 1..size-1 *)
-  d_tasks : int;
-  d_items : int;
-  d_busy_s : float;
-}
-
-type wait_stats = {
-  w_count : int;
-  w_sum_s : float;
-  w_max_s : float;
-  w_p50_s : float;
-  w_p99_s : float;
-}
+type wait_stats = { w_p99_s : float }
 
 type pool_stats = {
-  p_pool_size : int;           (** current global pool size *)
-  p_jobs : int;                (** jobs observed (parallel + inline) *)
   p_parallel_jobs : int;
-  p_bypass_jobs : int;         (** small-batch bypasses (cost < threshold) *)
-  p_bypass_items : int;
-  p_cost_units : int;          (** total declared [~cost] over all jobs *)
-  p_nested_inline_jobs : int;  (** maps that ran inline inside a task *)
-  p_nested_inline_items : int;
-  p_tasks : int;
-  p_items : int;
-  p_chunk_min : int;           (** 0 when no jobs ran *)
-  p_chunk_max : int;
-  p_span_s : float;            (** total publication->join wall time *)
-  p_busy_s : float;            (** sum of task run time over all domains *)
-  p_idle_s : float;            (** pool_size * span - busy, floored at 0 *)
-  p_wait : wait_stats;         (** task-claim queue waits *)
-  p_domains : domain_stat list;
-  (** One row per domain of the current pool, zeroed rows included, so the
-      schema shape is pool-size-invariant. *)
+  p_bypass_jobs : int;
+  p_busy_s : float;
+  p_idle_s : float;
+  p_wait : wait_stats;
 }
 
-type snapshot = {
-  s_pool : pool_stats;
-  s_locks : Glassdb_util.Pool.Lock.snapshot list;
-}
-
-val enabled : unit -> bool
+type snapshot = { s_pool : pool_stats }
 
 val enable : ?clock:(unit -> float) -> unit -> unit
-(** Install the pool hooks, zero all counters (including named-lock
-    stats), and register the [glassdb.prof.*] aggregate gauges so the
-    {!Sampler} renders prof counter tracks.  [clock] defaults to [Sim.now]
-    inside a simulation and 0 outside — fully deterministic; pass a
-    wall clock for real utilization numbers. *)
+(** No-op; [clock] is ignored. *)
 
 val disable : unit -> unit
-(** Uninstall the pool hooks.  Accumulated stats remain readable. *)
-
-val reset : unit -> unit
-(** Zero all counters and named-lock stats (e.g. between sweep points). *)
+(** No-op. *)
 
 val snapshot : unit -> snapshot
+(** All zeros. *)

@@ -31,22 +31,21 @@ type t = {
 
 (* --- serialization --- *)
 
-(* Chunk serialization reuses one per-domain buffer: proofs and rebuilds
-   serialize thousands of chunks, and each call fully consumes
-   [Buffer.contents] before the next, so the scratch contract holds. *)
-let ser_buf : Buffer.t Scratch.t = Scratch.create (fun () -> Buffer.create 4096)
+(* Chunk serialization reuses one buffer: proofs and rebuilds serialize
+   thousands of chunks, and each call fully consumes [Buffer.contents]
+   before the next. *)
+let ser_buf = Buffer.create 4096
 
 let serialize_chunk ~leaf (items : Chunker.item array) =
-  let buf = Scratch.get ser_buf in
-  Buffer.clear buf;
-  Buffer.add_char buf (if leaf then 'L' else 'I');
-  Codec.write_varint buf (Array.length items);
+  Buffer.clear ser_buf;
+  Buffer.add_char ser_buf (if leaf then 'L' else 'I');
+  Codec.write_varint ser_buf (Array.length items);
   Array.iter
     (fun it ->
-      Codec.write_string buf (Chunker.item_key it);
-      Codec.write_string buf (Chunker.item_payload it))
+      Codec.write_string ser_buf (Chunker.item_key it);
+      Codec.write_string ser_buf (Chunker.item_payload it))
     items;
-  Buffer.contents buf
+  Buffer.contents ser_buf
 
 (* The two level-tag digests are constants; hashing them once at module
    initialization keeps them out of every chunk's hash count. *)
@@ -55,29 +54,12 @@ let interior_tag = Hash.leaf "I"
 
 (* Chunk hash: combine of the (memoized) item hashes plus a level tag, so
    rebuilding a chunk only hashes the items that changed.  [combine_feed]
-   streams tag and item digests through the per-domain scratch context —
-   no intermediate list, no per-chunk hashing context. *)
+   streams tag and item digests through Hash's reusable context — no
+   intermediate list, no per-chunk hashing context. *)
 let chunk_hash ~leaf (items : Chunker.item array) =
   Hash.combine_feed (fun push ->
       push (if leaf then leaf_tag else interior_tag);
       Array.iter (fun it -> push (Chunker.item_hash it)) items)
-
-(* Per-chunk work estimate for {!Glassdb_util.Pool.parallel_map}'s [~cost]
-   hook: bytes hashed when every item memo misses — each item's kv
-   preimage plus the 32-byte digest fed to the combine — plus the combine
-   tag and envelope.  An overestimate when memos hit, but proportional
-   either way, which is all granularity selection needs. *)
-let chunk_cost (items : Chunker.item array) =
-  let c = ref (33 + (32 * Array.length items)) in
-  Array.iter
-    (fun it ->
-      c :=
-        !c
-        + String.length (Chunker.item_key it)
-        + String.length (Chunker.item_payload it)
-        + 8)
-    items;
-  !c
 
 let parse_chunk s =
   let r = Codec.reader s in
@@ -106,29 +88,9 @@ let mk_chunk cfg ~leaf items =
     Storage.Node_store.put cfg.store hash (serialize_chunk ~leaf items);
   { items; hash }
 
-(* Build the chunks for a batch of item arrays.  The SHA-256 hashing — the
-   dominant cost of a tree build — fans out across the domain pool; the
-   store membership checks and writes then run serially on the calling
-   domain in submission order, so the store (and its LRU accounting)
-   observes exactly the serial operation sequence at any pool size.  Item
-   arrays within one batch are disjoint, so the per-item hash memos cannot
-   race. *)
-let build_chunks cfg ~leaf arrays =
-  match arrays with
-  | [] -> []
-  | [ items ] -> [ mk_chunk cfg ~leaf items ]
-  | _ ->
-    let arrs = Array.of_list arrays in
-    let hashes =
-      Pool.parallel_map ~cost:chunk_cost (Pool.global ())
-        (fun items -> chunk_hash ~leaf items)
-        arrs
-    in
-    List.init (Array.length arrs) (fun i ->
-        let items = arrs.(i) and hash = hashes.(i) in
-        if not (Storage.Node_store.mem cfg.store hash) then
-          Storage.Node_store.put cfg.store hash (serialize_chunk ~leaf items);
-        { items; hash })
+(* [List.map] applies [mk_chunk] left to right, so the store sees its
+   membership checks and writes in chunk order. *)
+let build_chunks cfg ~leaf arrays = List.map (mk_chunk cfg ~leaf) arrays
 
 let first_key c = Chunker.item_key c.items.(0)
 
@@ -355,21 +317,18 @@ let splice_region lv ~lo ~hi patches =
    without a boundary item, meaning the trailing chunk would swallow its
    old successor.
 
-   The work is phased for the domain pool: region discovery is a cheap
-   serial pre-pass (splicing and boundary fingerprints, no hashing), then
-   every region's new chunks are hashed in one parallel batch through
-   {!build_chunks}, then the output level and parent patches are assembled
-   serially — so the rebuilt level is byte-identical to the serial path. *)
+   Each region's chunks are built as soon as its extent is known, so the
+   store sees the regions' writes left to right. *)
 let rebuild_level cfg ~leaf lv patches =
   let n = Array.length lv.chunks in
   let patch_chunk p = chunk_of_pos lv p.start in
   let patch_end_chunk p =
     if p.stop > p.start then chunk_of_pos lv (p.stop - 1) else patch_chunk p
   in
-  (* Phase 1 — discovery: the output layout as kept-old-chunks and region
-     markers, plus each region's new item arrays and replaced chunk span. *)
+  (* The output layout as kept old chunks and rebuilt regions, plus each
+     region's replaced chunk span and new chunks. *)
   let pieces = ref [] in
-  let regions = ref [] and nregions = ref 0 in
+  let regions = ref [] in
   let pending = ref patches in
   let i = ref 0 in
   while !i < n do
@@ -414,7 +373,7 @@ let rebuild_level cfg ~leaf lv patches =
               last.(Array.length last - 1)
         in
         if ends_at_boundary || !j >= n then begin
-          new_chunks := cs;
+          new_chunks := build_chunks cfg ~leaf cs;
           finished := true
         end
         else begin
@@ -423,41 +382,24 @@ let rebuild_level cfg ~leaf lv patches =
           pull ()
         end
       done;
-      pieces := `Region !nregions :: !pieces;
+      pieces := `Region !new_chunks :: !pieces;
       regions := (start_ci, !j, !new_chunks) :: !regions;
-      incr nregions;
       i := !j
   done;
-  (* Phase 2 — hash all regions' chunks in one batch (parallel hashing,
-     serial store writes in left-to-right region order, exactly the order
-     the serial loop produced). *)
-  let regions = Array.of_list (List.rev !regions) in
-  let all_arrays =
-    Array.to_list regions |> List.concat_map (fun (_, _, arrs) -> arrs)
-  in
-  let built_all = Array.of_list (build_chunks cfg ~leaf all_arrays) in
-  let built_of = Array.make (Array.length regions) [] in
-  let off = ref 0 in
-  Array.iteri
-    (fun k (_, _, arrs) ->
-      let len = List.length arrs in
-      built_of.(k) <- Array.to_list (Array.sub built_all !off len);
-      off := !off + len)
-    regions;
-  (* Phase 3 — assemble the level and the patches to apply one level up. *)
   let out =
     List.rev !pieces
-    |> List.concat_map (function `Keep c -> [ c ] | `Region k -> built_of.(k))
+    |> List.concat_map (function `Keep c -> [ c ] | `Region cs -> cs)
   in
   let parent_patches =
-    Array.to_list regions
-    |> List.mapi (fun k (start_ci, stop_ci, _) ->
-           { start = start_ci;
-             stop = stop_ci;
-             pitems =
-               List.map
-                 (fun c -> Chunker.item ~key:(first_key c) ~payload:c.hash)
-                 built_of.(k) })
+    List.rev_map
+      (fun (start_ci, stop_ci, built) ->
+        { start = start_ci;
+          stop = stop_ci;
+          pitems =
+            List.map
+              (fun c -> Chunker.item ~key:(first_key c) ~payload:c.hash)
+              built })
+      !regions
   in
   (Array.of_list out, parent_patches)
 

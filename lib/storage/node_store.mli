@@ -11,10 +11,11 @@
     read, so the simulation's cost model rewards locality the way a real
     server's node cache would.
 
-    The store is domain-safe: the table and LRU are lock-sharded by the
-    node's first hash byte (up to 16 shards, at least 32 LRU slots each;
-    small caches collapse to one shard and so keep exact global-LRU
-    eviction order).  Work charges accrue to the calling domain. *)
+    The table and LRU are sharded by the node's first hash byte (up to 16
+    shards, at least 32 LRU slots each; small caches collapse to one shard
+    and so keep exact global-LRU eviction order).  The shards fix which
+    node is evicted, and so the cache-hit and page-read charges that drive
+    the simulated clock. *)
 
 open Glassdb_util
 
@@ -46,8 +47,8 @@ val cache_misses : t -> int
 (** Fetches that had to touch the backing table (including absent keys). *)
 
 val duplicate_puts : t -> int
-(** Puts of an already-stored hash — content-addressed re-puts (e.g. a
-    folded hashify re-writing shared chunks).  They leave [node_count],
+(** Puts of an already-stored hash — content-addressed re-puts (e.g. two
+    snapshots writing an identical chunk).  They leave [node_count],
     [total_bytes] and the Work charges untouched. *)
 
 val cache_capacity : t -> int

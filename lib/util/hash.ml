@@ -4,24 +4,22 @@ let size = 32
 let equal = String.equal
 let compare = String.compare
 
-(* Every digest goes through a per-domain scratch context (reset + feed +
-   finalize) instead of allocating a fresh Sha256.t per call — the batched
-   hot paths (chunk hashing, multiproof assembly) issue millions of these.
-   Two slots, not one: the aggregate ops ([combine]/[combine_feed]/
+(* Every digest goes through a reusable context (reset + feed + finalize)
+   instead of allocating a fresh Sha256.t per call — the batched hot paths
+   (chunk hashing, multiproof assembly) issue millions of these.  Two
+   contexts, not one: the aggregate ops ([combine]/[combine_feed]/
    [digest_many]) drive feeders that may themselves call the primitive ops
    (e.g. memoizing an item's [kv] hash mid-combine), so primitives and
    aggregates must not share a context.  Feeders must not call the
-   aggregate ops (Scratch contract: same-slot nesting clobbers the
-   in-flight state). *)
-let prim : Sha256.t Scratch.t = Scratch.create Sha256.init
-let agg : Sha256.t Scratch.t = Scratch.create Sha256.init
+   aggregate ops: nesting on one context clobbers its in-flight state. *)
+let prim = Sha256.init ()
+let agg = Sha256.init ()
 
 let prim_digest fill =
   Work.note_hash ();
-  let c = Scratch.get prim in
-  Sha256.reset c;
-  fill c;
-  Sha256.finalize c
+  Sha256.reset prim;
+  fill prim;
+  Sha256.finalize prim
 
 let of_string s = prim_digest (fun c -> Sha256.feed_string c s)
 
@@ -48,23 +46,21 @@ let kv k v =
 
 let combine_feed fill =
   Work.note_hash ();
-  let c = Scratch.get agg in
-  Sha256.reset c;
-  Sha256.feed_string c "\x02";
-  fill (fun s -> Sha256.feed_string c s);
-  Sha256.finalize c
+  Sha256.reset agg;
+  Sha256.feed_string agg "\x02";
+  fill (fun s -> Sha256.feed_string agg s);
+  Sha256.finalize agg
 
 let combine hs = combine_feed (fun push -> List.iter push hs)
 
 let digest_many fill inputs =
   let n = Array.length inputs in
   Work.note_hash ~n ();
-  let c = Scratch.get agg in
   Array.map
     (fun x ->
-      Sha256.reset c;
-      fill x (fun s -> Sha256.feed_string c s);
-      Sha256.finalize c)
+      Sha256.reset agg;
+      fill x (fun s -> Sha256.feed_string agg s);
+      Sha256.finalize agg)
     inputs
 
 let combine_many fill inputs =

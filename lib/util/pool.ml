@@ -1,666 +1,7 @@
-(* Deterministic fixed-size fork-join domain pool: see the .mli for the
-   determinism contract.  Tasks are claimed from a shared atomic counter in
-   whatever temporal order the domains reach it; results land at their
-   submission index and Work capture/absorb merges per-task counters back
-   in submission order, so output is byte-identical to the serial path. *)
+let size = ref 1
 
-[@@@glassdb.lint.allow "D004"]
-(* This module is the sanctioned home of Domain.spawn / Mutex.create /
-   Condition.create (lint rule D004 confines ambient parallelism
-   primitives to lib/util/pool); the floating allow covers the file. *)
-
-type job = {
-  run_task : int -> unit;  (* runs task [i]; stores its own result/exn *)
-  n : int;
-  claim : int;             (* tasks claimed per atomic op (>= 1) *)
-  next : int Atomic.t;     (* next unclaimed task index *)
-  completed : int Atomic.t;
-}
-
-(* --- profiling hooks (installed by Obs.Prof) ---
-
-   The pool carries no policy of its own: when a profiler is installed it
-   times each task (claim wait relative to job publication, run time) with
-   the profiler's clock and hands the per-job sample to the hook at the
-   join, on the submitting domain.  With no profiler installed the hot
-   paths pay exactly one atomic load and the output bytes are identical
-   either way — profiling never changes what the pool computes, only what
-   it reports. *)
-
-type task_sample = {
-  ts_domain : int;   (* 0 = the submitting domain, workers are 1.. *)
-  ts_wait_s : float; (* job publication -> task claimed *)
-  ts_run_s : float;
-  ts_items : int;
-}
-
-type job_sample = {
-  js_pool_size : int;
-  js_tasks : int;
-  js_chunk : int;
-  js_items : int;
-  js_cost : int;      (* total ~cost units; 0 when no cost hook was given *)
-  js_span_s : float;  (* publication -> join, on the submitting domain *)
-  js_inline : bool;   (* ran serially on the caller (size 1 / tiny input) *)
-  js_bypass : bool;   (* inline because total cost < the work threshold *)
-  js_samples : task_sample array;
-}
-
-type profiler = {
-  pr_clock : unit -> float;
-  pr_on_job : job_sample -> unit;        (* called on the submitting domain *)
-  pr_on_nested_inline : int -> unit;     (* items of a nested inline map *)
-}
-
-let profiler : profiler option Atomic.t = Atomic.make None
-let set_profiler p = Atomic.set profiler p
-let profiling () = Option.is_some (Atomic.get profiler)
-
-(* Stable per-domain index for task samples: workers set theirs at spawn,
-   every other domain (the submitter) reads the default 0. *)
-let domain_index = Domain.DLS.new_key (fun () -> 0)
-
-let null_sample = { ts_domain = 0; ts_wait_s = 0.; ts_run_s = 0.; ts_items = 0 }
-
-type t = {
-  psize : int;
-  lock : Mutex.t;
-  cond : Condition.t;      (* signals both new jobs and job completion *)
-  mutable job : job option;
-  mutable gen : int;       (* bumped per submission; wakes the workers *)
-  mutable stopped : bool;
-  mutable workers : unit Domain.t list;
-}
-
-(* Set while a domain is executing pool tasks: a nested submission from
-   inside a task runs inline on that domain, keeping helpers that use the
-   pool themselves (e.g. a tree build inside a parallel persist) safe. *)
-let in_task = Domain.DLS.new_key (fun () -> false)
-
-(* Claim and run tasks until the job's counter is exhausted; the domain
-   that completes the last task wakes the submitter.  Tasks are claimed
-   in runs of [j.claim] per atomic op, so jobs with many small tasks
-   (e.g. [run] over hundreds of thunks) pay one counter bump per run
-   instead of per task. *)
-let drain t j =
-  let was = Domain.DLS.get in_task in
-  Domain.DLS.set in_task true;
-  Fun.protect
-    ~finally:(fun () -> Domain.DLS.set in_task was)
-    (fun () ->
-      let rec go () =
-        let i = Atomic.fetch_and_add j.next j.claim in
-        if i < j.n then begin
-          let len = min j.n (i + j.claim) - i in
-          for k = i to i + len - 1 do
-            j.run_task k
-          done;
-          if
-            Int.equal (Atomic.fetch_and_add j.completed len) (j.n - len)
-          then begin
-            Mutex.lock t.lock;
-            Condition.broadcast t.cond;
-            Mutex.unlock t.lock
-          end;
-          go ()
-        end
-      in
-      go ())
-
-let worker_loop t =
-  let last_gen = ref 0 in
-  let running = ref true in
-  while !running do
-    Mutex.lock t.lock;
-    while (not t.stopped) && Int.equal t.gen !last_gen do
-      Condition.wait t.cond t.lock
-    done;
-    if t.stopped then begin
-      Mutex.unlock t.lock;
-      running := false
-    end
-    else begin
-      let g = t.gen and j = t.job in
-      Mutex.unlock t.lock;
-      last_gen := g;
-      match j with None -> () | Some j -> drain t j
-    end
-  done
-
-let create psize =
-  if psize < 1 then invalid_arg "Pool.create: size must be >= 1";
-  let t =
-    { psize;
-      lock = Mutex.create ();
-      cond = Condition.create ();
-      job = None;
-      gen = 0;
-      stopped = false;
-      workers = [] }
-  in
-  if psize > 1 then
-    t.workers <-
-      List.init (psize - 1) (fun i ->
-          Domain.spawn (fun () ->
-              Domain.DLS.set domain_index (i + 1);
-              worker_loop t));
-  t
-
-let size t = t.psize
-
-let shutdown t =
-  if not t.stopped then begin
-    Mutex.lock t.lock;
-    t.stopped <- true;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.lock;
-    List.iter Domain.join t.workers;
-    t.workers <- []
-  end
-
-(* Publish a job, help drain it, then block until the last task (possibly
-   on a worker) completes.  Atomic increments on [completed] order the
-   workers' result writes before the submitter's reads. *)
-let run_job t run_task n ~claim =
-  let j =
-    { run_task; n; claim; next = Atomic.make 0; completed = Atomic.make 0 }
-  in
-  Mutex.lock t.lock;
-  t.job <- Some j;
-  t.gen <- t.gen + 1;
-  Condition.broadcast t.cond;
-  Mutex.unlock t.lock;
-  drain t j;
-  Mutex.lock t.lock;
-  while Atomic.get j.completed < n do
-    Condition.wait t.cond t.lock
-  done;
-  t.job <- None;
-  Mutex.unlock t.lock
-
-type 'b slot =
-  | Pending
-  | Done of 'b array * Work.task_work
-  | Raised of exn * Printexc.raw_backtrace
-
-(* --- small-batch bypass threshold ---
-
-   When a [~cost] hook is supplied, jobs whose total cost falls below this
-   threshold skip the pool entirely (zero task submissions): for tiny
-   batches the publish/wake/join handshake costs more than the work.
-   Process-global because it is a host-tuning knob (Config threads it from
-   [pool_work_threshold]), not a per-call policy. *)
-let work_threshold_a = Atomic.make 65536
-
-let set_work_threshold n =
-  if n < 0 then invalid_arg "Pool.set_work_threshold: threshold must be >= 0";
-  Atomic.set work_threshold_a n
-
-let work_threshold () = Atomic.get work_threshold_a
-
-(* The serial execution, verbatim — no captures, no domains, no locks.
-   Under a profiler, a top-level inline map is still timed (that is the
-   whole job at pool size 1); nested inline maps from inside a task only
-   bump atomic counters on the profiler side, since they run concurrently
-   with the submitting domain's bookkeeping. *)
-let inline_map ?(cost_units = 0) ?(bypass = false) t f arr n =
-  match Atomic.get profiler with
-  | None -> Array.map f arr
-  | Some p ->
-    if Domain.DLS.get in_task then begin
-      p.pr_on_nested_inline n;
-      Array.map f arr
-    end
-    else begin
-      let t0 = p.pr_clock () in
-      let out = Array.map f arr in
-      let dt = p.pr_clock () -. t0 in
-      p.pr_on_job
-        { js_pool_size = t.psize;
-          js_tasks = 1;
-          js_chunk = n;
-          js_items = n;
-          js_cost = cost_units;
-          js_span_s = dt;
-          js_inline = true;
-          js_bypass = bypass;
-          js_samples =
-            [| { ts_domain = Domain.DLS.get domain_index; ts_wait_s = 0.;
-                 ts_run_s = dt; ts_items = n } |] };
-      out
-    end
-
-(* Shared submit/join path over explicit task bounds: task [k] covers
-   items [bounds.(k) .. bounds.(k+1) - 1].  Both the uniform-chunk and the
-   cost-aware paths land here, so the determinism machinery (submission-
-   order result slots, Work capture/absorb) exists exactly once. *)
-let submit_bounded t f arr n ~bounds ~ntasks ~js_chunk ~cost_units =
-  let slots = Array.make ntasks Pending in
-  let run_task k =
-    let lo = bounds.(k) in
-    let len = bounds.(k + 1) - lo in
-    match
-      Work.capture (fun () -> Array.init len (fun i -> f arr.(lo + i)))
-    with
-    | vals, tw -> slots.(k) <- Done (vals, tw)
-    | exception e -> slots.(k) <- Raised (e, Printexc.get_raw_backtrace ())
-  in
-  let prof = Atomic.get profiler in
-  let t0 = match prof with Some p -> p.pr_clock () | None -> 0. in
-  let samples =
-    match prof with
-    | Some _ -> Array.make ntasks null_sample
-    | None -> [||]
-  in
-  let run_task =
-    match prof with
-    | None -> run_task
-    | Some p ->
-      fun k ->
-        let ts = p.pr_clock () in
-        run_task k;
-        let te = p.pr_clock () in
-        samples.(k) <-
-          { ts_domain = Domain.DLS.get domain_index;
-            ts_wait_s = ts -. t0;
-            ts_run_s = te -. ts;
-            ts_items = bounds.(k + 1) - bounds.(k) }
-  in
-  run_job t run_task ntasks ~claim:(max 1 (ntasks / (t.psize * 4)));
-  (match prof with
-   | Some p ->
-     p.pr_on_job
-       { js_pool_size = t.psize;
-         js_tasks = ntasks;
-         js_chunk;
-         js_items = n;
-         js_cost = cost_units;
-         js_span_s = p.pr_clock () -. t0;
-         js_inline = false;
-         js_bypass = false;
-         js_samples = samples }
-   | None -> ());
-  (* Join in submission order: absorb each task's work up to the first
-     raise, so counters match a serial run cut at that point. *)
-  let first_exn = ref None in
-  for k = 0 to ntasks - 1 do
-    if Option.is_none !first_exn then begin
-      match slots.(k) with
-      | Done (_, tw) -> Work.absorb tw
-      | Raised (e, bt) -> first_exn := Some (e, bt)
-      | Pending -> assert false
-    end
-  done;
-  match !first_exn with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None ->
-    let seed =
-      match slots.(0) with
-      | Done (vals, _) -> vals.(0)
-      | Pending | Raised _ -> assert false
-    in
-    let out = Array.make n seed in
-    Array.iteri
-      (fun k slot ->
-        match slot with
-        | Done (vals, _) ->
-          Array.blit vals 0 out bounds.(k) (Array.length vals)
-        | Pending | Raised _ -> assert false)
-      slots;
-    out
-
-let parallel_map ?chunk ?cost t f arr =
-  (match (chunk, cost) with
-   | Some _, Some _ ->
-     invalid_arg "Pool.parallel_map: ~chunk and ~cost are exclusive"
-   | _ -> ());
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else if t.psize = 1 || t.stopped || n < 2 || Domain.DLS.get in_task then
-    match cost with
-    | Some cost_of when not (Domain.DLS.get in_task) ->
-      (* Still charge the declared cost (and classify sub-threshold
-         batches as bypasses) on the serial paths, so the profiler's
-         cost/bypass accounting is pool-size-invariant.  Nested maps
-         skip it: a task's inner map must stay zero-overhead. *)
-      let total = Array.fold_left (fun acc x -> acc + cost_of x) 0 arr in
-      inline_map ~cost_units:total
-        ~bypass:(total < Atomic.get work_threshold_a) t f arr n
-    | _ -> inline_map t f arr n
-  else begin
-    match cost with
-    | None ->
-      let chunk =
-        match chunk with
-        | Some c when c >= 1 -> c
-        | Some _ -> invalid_arg "Pool.parallel_map: chunk must be >= 1"
-        | None -> max 1 (n / (t.psize * 4))
-      in
-      let ntasks = (n + chunk - 1) / chunk in
-      if ntasks < 2 then inline_map t f arr n
-      else begin
-        let bounds =
-          Array.init (ntasks + 1) (fun k -> min n (k * chunk))
-        in
-        submit_bounded t f arr n ~bounds ~ntasks ~js_chunk:chunk
-          ~cost_units:0
-      end
-    | Some cost_of ->
-      (* Cost-aware granularity: size tasks by declared work (e.g. bytes
-         to hash), not item count, so one huge item no longer rides in
-         the same task as a run of tiny ones.  Each task greedily takes
-         items until it holds at least [quantum] cost units. *)
-      let costs = Array.map cost_of arr in
-      let total = Array.fold_left ( + ) 0 costs in
-      let threshold = Atomic.get work_threshold_a in
-      if total < threshold then
-        inline_map ~cost_units:total ~bypass:true t f arr n
-      else begin
-        let quantum = max 1 (max threshold (total / (t.psize * 8))) in
-        let bounds_buf = Array.make (n + 1) 0 in
-        let ntasks = ref 0 in
-        let i = ref 0 in
-        while !i < n do
-          bounds_buf.(!ntasks) <- !i;
-          incr ntasks;
-          let acc = ref 0 in
-          while !i < n && !acc < quantum do
-            acc := !acc + costs.(!i);
-            incr i
-          done
-        done;
-        let ntasks = !ntasks in
-        bounds_buf.(ntasks) <- n;
-        if ntasks < 2 then inline_map ~cost_units:total t f arr n
-        else begin
-          let bounds = Array.sub bounds_buf 0 (ntasks + 1) in
-          submit_bounded t f arr n ~bounds ~ntasks
-            ~js_chunk:((n + ntasks - 1) / ntasks) ~cost_units:total
-        end
-      end
-  end
-
-let run t thunks =
-  match thunks with
-  | [] -> []
-  | _ ->
-    parallel_map ~chunk:1 t (fun g -> g ()) (Array.of_list thunks)
-    |> Array.to_list
-
-(* --- the process-global pool --- *)
-
-let env_size () =
-  match Sys.getenv_opt "GLASSDB_DOMAINS" with
-  | None -> 1
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some k when k >= 1 -> k
-     | Some _ | None -> 1)
-
-let global_pool : t option ref = ref None
-let requested_size = ref 0 (* 0 = not yet resolved from the environment *)
-let exit_hook = ref false
-
-let global_size () =
-  if !requested_size = 0 then requested_size := env_size ();
-  !requested_size
-
-let global () =
-  match !global_pool with
-  | Some p -> p
-  | None ->
-    let p = create (global_size ()) in
-    global_pool := Some p;
-    if not !exit_hook then begin
-      exit_hook := true;
-      at_exit (fun () ->
-          match !global_pool with Some p -> shutdown p | None -> ())
-    end;
-    p
+let global_size () = !size
 
 let set_global_size n =
   if n < 1 then invalid_arg "Pool.set_global_size: size must be >= 1";
-  (match !global_pool with Some p -> shutdown p | None -> ());
-  global_pool := None;
-  requested_size := n
-
-(* --- locks for domain-safe shared structures --- *)
-
-module Lock = struct
-  type stats = {
-    ls_name : string;
-    mutable ls_acquires : int;
-    mutable ls_contended : int;
-    mutable ls_wait_s : float;
-    mutable ls_max_wait_s : float;
-    mutable ls_hold_s : float;
-  }
-
-  type lock = { lm : Mutex.t; lstats : stats option }
-
-  (* Registry of every named lock ever created; entries are a few words
-     each and aggregate by name at snapshot time, so per-shard locks
-     (node stores create up to 16 apiece) stay cheap.  The meta-mutex is
-     sanctioned by this file's D004 allow. *)
-  let registry : stats list ref = ref []
-  let registry_m = Mutex.create ()
-
-  let create ?name () =
-    match name with
-    | None -> { lm = Mutex.create (); lstats = None }
-    | Some ls_name ->
-      let s =
-        { ls_name; ls_acquires = 0; ls_contended = 0; ls_wait_s = 0.;
-          ls_max_wait_s = 0.; ls_hold_s = 0. }
-      in
-      Mutex.lock registry_m;
-      registry := s :: !registry;
-      Mutex.unlock registry_m;
-      { lm = Mutex.create (); lstats = Some s }
-
-  (* --- runtime lock-order validation (GLASSDB_LOCKCHECK=1) ---
-
-     The dynamic complement of racecheck's static R002: when enabled,
-     every named-lock acquisition consults the acquiring domain's held
-     set (a DLS stack), records the observed acquires-while-holding edge,
-     and logs a violation when the pair is not sanctioned by the declared
-     order (same-name nesting — e.g. two store shards — is never
-     sanctioned: equal ranks can deadlock pairwise).  Unnamed locks are
-     not tracked; like the profiler, the off path costs one atomic load
-     and allocates nothing extra. *)
-
-  let lockcheck_on =
-    Atomic.make
-      (match Sys.getenv_opt "GLASSDB_LOCKCHECK" with
-       | Some "1" -> true
-       | _ -> false)
-
-  let set_lockcheck b = Atomic.set lockcheck_on b
-  let lockcheck_enabled () = Atomic.get lockcheck_on
-
-  (* Per-domain stack of held named locks, innermost first. *)
-  let held_key : string list ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref [])
-
-  (* Checker globals, guarded by [lc_m] (sanctioned by this file's D004
-     allow): the declared order, the observed acquisition edges, and the
-     violation log. *)
-  let lc_m = Mutex.create ()
-  let lc_order : string list ref = ref []
-  let lc_edge_seen : (string, unit) Hashtbl.t = Hashtbl.create 16
-  let lc_edges : (string * string) list ref = ref []
-  let lc_violations : string list ref = ref []
-
-  let set_lock_order names =
-    Mutex.lock lc_m;
-    lc_order := names;
-    Mutex.unlock lc_m
-
-  let reset_lockcheck () =
-    Mutex.lock lc_m;
-    Hashtbl.reset lc_edge_seen;
-    lc_edges := [];
-    lc_violations := [];
-    Mutex.unlock lc_m
-
-  let compare_edge (a1, b1) (a2, b2) =
-    match String.compare a1 a2 with
-    | 0 -> String.compare b1 b2
-    | c -> c
-
-  let lockcheck_edges () =
-    Mutex.lock lc_m;
-    let es = !lc_edges in
-    Mutex.unlock lc_m;
-    List.sort compare_edge es
-
-  let lockcheck_violations () =
-    Mutex.lock lc_m;
-    let vs = List.rev !lc_violations in
-    Mutex.unlock lc_m;
-    vs
-
-  let rank order n =
-    let rec go i = function
-      | [] -> None
-      | x :: rest -> if String.equal x n then Some i else go (i + 1) rest
-    in
-    go 0 order
-
-  (* Check + record BEFORE blocking on the mutex, so an order violation
-     is logged even if the acquisition then deadlocks. *)
-  let lockcheck_enter name =
-    let held = Domain.DLS.get held_key in
-    (match !held with
-     | [] -> ()
-     | hs ->
-       Mutex.lock lc_m;
-       let order = !lc_order in
-       List.iter
-         (fun h ->
-           let key = h ^ "\x00" ^ name in
-           if not (Hashtbl.mem lc_edge_seen key) then begin
-             Hashtbl.replace lc_edge_seen key ();
-             lc_edges := (h, name) :: !lc_edges
-           end;
-           let sanctioned =
-             (not (String.equal h name))
-             && (match (rank order h, rank order name) with
-                 | Some rh, Some rn -> rh < rn
-                 | _ -> false)
-           in
-           if not sanctioned then
-             lc_violations :=
-               Printf.sprintf
-                 "lock %S acquired while holding %S (pair not sanctioned \
-                  by the declared order)"
-                 name h
-               :: !lc_violations)
-         hs;
-       Mutex.unlock lc_m);
-    held := name :: !held
-
-  let lockcheck_exit name =
-    let held = Domain.DLS.get held_key in
-    let rec remove = function
-      | [] -> []
-      | x :: rest -> if String.equal x name then rest else x :: remove rest
-    in
-    held := remove !held
-
-  let with_lock_uninstrumented l f =
-    match (Atomic.get profiler, l.lstats) with
-    | Some p, Some s ->
-      (* Contention is detected by try_lock: a failed fast path means
-         another domain held the lock, and the blocking acquire is timed.
-         All stats fields are mutated while holding the lock itself, so
-         they need no further synchronization. *)
-      let contended = not (Mutex.try_lock l.lm) in
-      let wait =
-        if contended then begin
-          let t0 = p.pr_clock () in
-          Mutex.lock l.lm;
-          p.pr_clock () -. t0
-        end
-        else 0.
-      in
-      s.ls_acquires <- s.ls_acquires + 1;
-      if contended then begin
-        s.ls_contended <- s.ls_contended + 1;
-        s.ls_wait_s <- s.ls_wait_s +. wait;
-        if wait > s.ls_max_wait_s then s.ls_max_wait_s <- wait
-      end;
-      let held = p.pr_clock () in
-      Fun.protect
-        ~finally:(fun () ->
-          s.ls_hold_s <- s.ls_hold_s +. (p.pr_clock () -. held);
-          Mutex.unlock l.lm)
-        f
-    | _ ->
-      Mutex.lock l.lm;
-      Fun.protect ~finally:(fun () -> Mutex.unlock l.lm) f
-
-  let with_lock l f =
-    if Atomic.get lockcheck_on then begin
-      match l.lstats with
-      | Some s ->
-        lockcheck_enter s.ls_name;
-        Fun.protect
-          ~finally:(fun () -> lockcheck_exit s.ls_name)
-          (fun () -> with_lock_uninstrumented l f)
-      | None -> with_lock_uninstrumented l f
-    end
-    else with_lock_uninstrumented l f
-
-  type snapshot = {
-    sn_name : string;
-    sn_locks : int;
-    sn_acquires : int;
-    sn_contended : int;
-    sn_wait_s : float;
-    sn_max_wait_s : float;
-    sn_hold_s : float;
-  }
-
-  let snapshot () =
-    Mutex.lock registry_m;
-    let all = !registry in
-    Mutex.unlock registry_m;
-    let tbl = Hashtbl.create 8 in
-    (* Only instances acquired since the last [reset_stats] count: the
-       registry is append-only, so dead instances (a torn-down cluster's
-       shard locks) would otherwise skew [sn_locks] across runs. *)
-    let all = List.filter (fun s -> s.ls_acquires > 0) all in
-    List.iter
-      (fun s ->
-        let cur =
-          match Hashtbl.find_opt tbl s.ls_name with
-          | Some c -> c
-          | None ->
-            { sn_name = s.ls_name; sn_locks = 0; sn_acquires = 0;
-              sn_contended = 0; sn_wait_s = 0.; sn_max_wait_s = 0.;
-              sn_hold_s = 0. }
-        in
-        Hashtbl.replace tbl s.ls_name
-          { cur with
-            sn_locks = cur.sn_locks + 1;
-            sn_acquires = cur.sn_acquires + s.ls_acquires;
-            sn_contended = cur.sn_contended + s.ls_contended;
-            sn_wait_s = cur.sn_wait_s +. s.ls_wait_s;
-            sn_max_wait_s = Float.max cur.sn_max_wait_s s.ls_max_wait_s;
-            sn_hold_s = cur.sn_hold_s +. s.ls_hold_s })
-      all;
-    Det.sorted_bindings ~cmp:String.compare tbl |> List.map snd
-
-  let reset_stats () =
-    Mutex.lock registry_m;
-    List.iter
-      (fun s ->
-        s.ls_acquires <- 0;
-        s.ls_contended <- 0;
-        s.ls_wait_s <- 0.;
-        s.ls_max_wait_s <- 0.;
-        s.ls_hold_s <- 0.)
-      !registry;
-    Mutex.unlock registry_m
-end
+  size := n

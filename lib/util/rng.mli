@@ -13,9 +13,9 @@ val split : t -> t
 
 val split_n : t -> int -> t array
 (** [split_n t n] derives [n] independent streams by repeated {!split},
-    in index order — the way to hand each task of a parallel fan-out its
-    own generator while keeping the draw sequence (and thus the workload)
-    identical at every pool size.  Advances [t] by [n] draws. *)
+    in index order, so each of [n] consumers gets its own generator and
+    the draw sequence does not depend on the order they run in.  Advances
+    [t] by [n] draws. *)
 
 val int64 : t -> int64
 (** Next raw 64-bit value. *)

@@ -27,8 +27,7 @@ type t = {
 
 (* The FIPS 180-4 initial hash values are written out in both [init] and
    [reset] rather than kept in a shared module-level array: a context's
-   state stays fully context-local, so reused contexts in per-domain
-   scratch slots touch no shared mutable root. *)
+   state stays fully context-local. *)
 let set_iv (h : int32 array) =
   h.(0) <- 0x6a09e667l;
   h.(1) <- 0xbb67ae85l;

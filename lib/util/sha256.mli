@@ -9,8 +9,8 @@ type t
 (** Mutable hashing context.  A context is single-use per digest: after
     {!finalize}/{!digest_into} it refuses further input until {!reset}
     returns it to the fresh state.  One context can therefore be reused
-    for any number of digests — the batched-hash hot paths hold one per
-    domain (see {!Hash}) and pay zero allocation per digest. *)
+    for any number of digests — the batched-hash hot paths hold two for
+    the whole process (see {!Hash}) and pay zero allocation per digest. *)
 
 val init : unit -> t
 (** Fresh context. *)

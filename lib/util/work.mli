@@ -1,18 +1,11 @@
-(** Work counters, accumulated per domain.
+(** Work counters, accumulated process-wide.
 
     Every hash computation, authenticated-structure node write and backend
     page access in the repository increments these counters.  The benchmark
     harness snapshots them around an operation and charges simulated service
     time proportional to the *measured* work, so relative system performance
     in the simulation is driven by real algorithmic differences rather than
-    hard-coded constants.
-
-    The accumulators live in domain-local storage: code running inside a
-    {!Pool} task charges its own domain without synchronization, and the
-    pool merges each task's work back into the submitting domain in
-    submission order via {!capture}/{!absorb} — so totals and attribution
-    are byte-identical to a serial run at any pool size.  All read/reset
-    entry points below act on the calling domain's accumulators. *)
+    hard-coded constants. *)
 
 type counters = {
   hashes : int;        (** SHA-256 compression-level invocations *)
@@ -66,31 +59,3 @@ val with_component : string -> (unit -> 'a) -> 'a
 
 val attribution : unit -> (string * counters) list
 (** Accumulated per-component deltas, sorted by component name. *)
-
-(** {2 Task capture — the {!Pool} merge protocol}
-
-    A pool task runs under {!capture}, which gives it fresh counters, an
-    empty frame stack and an empty attribution table; the work it performs
-    is returned as an opaque {!task_work} instead of mutating the
-    submitting domain's state.  The pool then {!absorb}s each task's work
-    on the submitting domain *in submission order*, so the merged totals,
-    attribution table and any {!measure} around the parallel section are
-    identical to the serial execution. *)
-
-type task_work
-
-val capture : (unit -> 'a) -> 'a * task_work
-(** Run [f] with isolated counters/attribution on the current domain and
-    return what it accrued.  On an escaping exception the partial work is
-    dropped (serially nothing past the raise would have run either) and the
-    exception is re-raised with its backtrace. *)
-
-val absorb : task_work -> unit
-(** Merge captured work into the calling domain: counters add to the
-    running totals, the task's attributed components add to the attribution
-    table, and the attributed portion counts as nested-scope work of the
-    currently open {!with_component} frame (if any) — replicating what a
-    serial nested scope would have recorded. *)
-
-val task_counters : task_work -> counters
-(** The raw counters a captured task accrued (for tests/diagnostics). *)

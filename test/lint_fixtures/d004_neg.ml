@@ -1,4 +1,4 @@
-(* Fixture: D004 negative — parallelism through the sanctioned pool. *)
-let map f arr = Glassdb_util.Pool.parallel_map (Glassdb_util.Pool.global ()) f arr
-let lock = Glassdb_util.Pool.Lock.create ()
+(* Fixture: D004 negative — serial work and plain module-level state. *)
+let map f arr = Array.map f arr
+let scratch = Buffer.create 16
 let join_results rs = List.map (fun r -> r ()) rs

@@ -266,6 +266,46 @@ let test_tpcc_driver_run () =
   Alcotest.(check bool) "tpcc progress" true (r.Driver.r_commits > 20);
   Alcotest.(check int) "no verification failures" 0 r.Driver.r_failures
 
+(* --- benchdiff round-trip --- *)
+
+module Diff = Benchdiff_core.Diff
+
+let doc wall =
+  Bench1.(
+    Obj
+      [ ("schema", Str "glassdb.example/v1");
+        ("stages",
+         Arr
+           [ Obj
+               [ ("stage", Str "proofs");
+                 ("runs", Arr [ Obj [ ("wall_s", Num wall) ] ]) ] ]);
+        ("wallclock", Obj [ ("finished_unix_s", Num 1.) ]) ])
+
+let test_benchdiff_roundtrip () =
+  let r = Diff.diff (doc 1.0) (doc 1.0) in
+  Alcotest.(check int) "identical docs: no changes" 0
+    (List.length r.Diff.r_changes);
+  Alcotest.(check int) "identical docs: no regressions" 0 (Diff.regressions r);
+  let r = Diff.diff (doc 1.0) (doc 1.3) in
+  Alcotest.(check int) "slower wall_s flagged" 1 (Diff.regressions r);
+  let r = Diff.diff (doc 1.3) (doc 1.0) in
+  Alcotest.(check int) "faster wall_s not a regression" 0 (Diff.regressions r);
+  Alcotest.(check int) "but still reported" 1 (List.length r.Diff.r_changes);
+  (* wallclock is exempt, like in the determinism checks. *)
+  let with_wall t =
+    Bench1.(Obj [ ("wallclock", Obj [ ("finished_unix_s", Num t) ]) ])
+  in
+  let r = Diff.diff (with_wall 1.) (with_wall 99.) in
+  Alcotest.(check int) "wallclock ignored" 0
+    (List.length r.Diff.r_changes + Diff.regressions r);
+  (* Canonical report survives its own parser. *)
+  let text = Bench1.to_string (Diff.report_json (Diff.diff (doc 1.0) (doc 1.3))) in
+  match Bench1.parse text with
+  | exception Bench1.Bad m -> Alcotest.fail ("report does not parse: " ^ m)
+  | j ->
+    Alcotest.(check bool) "schema tag" true
+      (Bench1.field "schema" j = Some (Bench1.Str Diff.schema_id))
+
 let () =
   Alcotest.run "benchkit"
     [ ("ycsb",
@@ -288,4 +328,7 @@ let () =
        [ Alcotest.test_case "load + all kinds" `Quick test_tpcc_load_and_each_kind;
          Alcotest.test_case "new-order consistency" `Quick test_tpcc_new_order_consistency;
          Alcotest.test_case "mix ratios" `Quick test_tpcc_mix;
-         Alcotest.test_case "driver run" `Quick test_tpcc_driver_run ]) ]
+         Alcotest.test_case "driver run" `Quick test_tpcc_driver_run ]);
+      ("benchdiff",
+       [ Alcotest.test_case "round-trip: empty diff, flagged regression"
+           `Quick test_benchdiff_roundtrip ]) ]

@@ -46,12 +46,48 @@ let test_rule_ids () =
   Alcotest.(check (list string)) "d001" [ "D001" ] (rules_of (fixture "d001_pos.ml"));
   Alcotest.(check (list string)) "d002" [ "D002" ] (rules_of (fixture "d002_pos.ml"));
   Alcotest.(check (list string)) "d003" [ "D003" ] (rules_of (fixture "d003_pos.ml"));
-  Alcotest.(check (list string)) "d004" [ "D004"; "D004"; "D004"; "D004" ]
+  Alcotest.(check (list string)) "d004"
+    [ "D004"; "D004"; "D004"; "D004"; "D004" ]
     (rules_of (fixture "d004_pos.ml"));
   Alcotest.(check (list string)) "s001" [ "S001"; "S001" ]
     (rules_of (fixture "s001_pos.ml"));
   Alcotest.(check (list string)) "s002" [ "S002"; "S002" ]
     (rules_of (fixture "s002_pos.ml"))
+
+let test_d004_dls () =
+  (* Domain-local state has no sanctioned home: the fixture's key creation
+     (line 5) is flagged, in lib and bench scope alike. *)
+  List.iter
+    (fun (label, scope) ->
+      let fs =
+        (Lint_engine.lint_file ~scope (fixture "d004_pos.ml"))
+          .Lint_engine.r_findings
+      in
+      Alcotest.(check (list string)) (label ^ ": rules")
+        [ "D004"; "D004"; "D004"; "D004"; "D004" ]
+        (List.map (fun f -> f.Lint_engine.f_rule) fs);
+      Alcotest.(check bool) (label ^ ": domain-local key flagged") true
+        (List.exists (fun f -> f.Lint_engine.f_line = 5) fs))
+    [ ("lib", Lint_engine.Lib); ("bench", Lint_engine.Bench) ]
+
+let test_d004_message () =
+  let fs = findings (fixture "d004_pos.ml") in
+  Alcotest.(check int) "five findings" 5 (List.length fs);
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s
+      && (String.equal (String.sub s i n) sub || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun f ->
+      Alcotest.(check bool)
+        (Printf.sprintf "line %d says single-domain" f.Lint_engine.f_line)
+        true
+        (contains f.Lint_engine.f_msg "single-domain"))
+    fs
 
 let test_bench_scope () =
   (* S001/S002 are lib-only: the same source is clean under Bench scope,
@@ -171,7 +207,10 @@ let () =
           Alcotest.test_case "rule ids" `Quick test_rule_ids;
           Alcotest.test_case "bench scope" `Quick test_bench_scope;
           Alcotest.test_case "safe constants" `Quick test_safe_constants;
-          Alcotest.test_case "parse error" `Quick test_parse_error ] );
+          Alcotest.test_case "parse error" `Quick test_parse_error;
+          Alcotest.test_case "d004 flags domain-local state" `Quick
+            test_d004_dls;
+          Alcotest.test_case "d004 message" `Quick test_d004_message ] );
       ( "json",
         [ Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "escapes round-trip" `Quick

@@ -163,6 +163,51 @@ let test_charged_time_exception_safe () =
       (* The work done before the raise is still charged as virtual time. *)
       Alcotest.(check bool) "time charged on exception" true (Sim.now () > t0))
 
+(* --- profiler stub --- *)
+
+let fake_clock () =
+  let t = ref 0. in
+  fun () ->
+    t := !t +. 1e-6;
+    !t
+
+let build_tree () =
+  let store = Storage.Node_store.create () in
+  let cfg = Postree.Pos_tree.config store in
+  let t =
+    Postree.Pos_tree.insert_batch (Postree.Pos_tree.empty cfg)
+      (List.init 500 (fun i ->
+           (Printf.sprintf "k%04d" i, Printf.sprintf "v%d" i)))
+  in
+  (Hex.encode (Postree.Pos_tree.root_hash t), Storage.Node_store.node_count store)
+
+let test_prof_snapshot_zero () =
+  Obs.Prof.enable ~clock:(fake_clock ()) ();
+  let s =
+    Fun.protect ~finally:Obs.Prof.disable (fun () ->
+        ignore (build_tree ());
+        Obs.Prof.snapshot ())
+  in
+  let p = s.Obs.Prof.s_pool in
+  Alcotest.(check int) "parallel jobs" 0 p.Obs.Prof.p_parallel_jobs;
+  Alcotest.(check int) "bypass jobs" 0 p.Obs.Prof.p_bypass_jobs;
+  Alcotest.(check (float 0.)) "busy" 0. p.Obs.Prof.p_busy_s;
+  Alcotest.(check (float 0.)) "idle" 0. p.Obs.Prof.p_idle_s;
+  Alcotest.(check (float 0.)) "wait p99" 0. p.Obs.Prof.p_wait.Obs.Prof.w_p99_s
+
+let test_prof_leaves_results_unchanged () =
+  (* Enabling the profiler changes neither outputs nor Work charges. *)
+  Obs.Prof.disable ();
+  let off, w_off = Work.measure build_tree in
+  Obs.Prof.enable ();
+  let on_, w_on =
+    Fun.protect ~finally:Obs.Prof.disable (fun () -> Work.measure build_tree)
+  in
+  Alcotest.(check (pair string int)) "same tree" off on_;
+  Alcotest.(check int) "same hashes" w_off.Work.hashes w_on.Work.hashes;
+  Alcotest.(check int) "same node writes" w_off.Work.node_writes
+    w_on.Work.node_writes
+
 (* --- metrics registry --- *)
 
 let test_metrics_registry () =
@@ -313,6 +358,11 @@ let () =
            test_attribution_nested_and_exceptional;
          Alcotest.test_case "charged_time exception-safe" `Quick
            test_charged_time_exception_safe ]);
+      ("prof",
+       [ Alcotest.test_case "stub snapshot reads zero" `Quick
+           test_prof_snapshot_zero;
+         Alcotest.test_case "enabling leaves results unchanged" `Quick
+           test_prof_leaves_results_unchanged ]);
       ("metrics",
        [ Alcotest.test_case "registry" `Quick test_metrics_registry;
          Alcotest.test_case "gauge sampling cadence" `Quick

@@ -553,61 +553,97 @@ let prop_range_model =
       && Pos_tree.verify_range ~root ~lo ~hi ~bindings
            (Pos_tree.prove_range t ~lo ~hi))
 
-(* --- pool-size invariance ---
+(* --- pinned fingerprints ---
 
-   The determinism contract of Glassdb_util.Pool: build, update and batch
-   proving produce byte-identical results — roots, encoded proof bytes,
-   even the node store's counters — at every pool size.  Ten seeded random
-   workloads, each fingerprinted at sizes 1, 2, 4 and 8. *)
+   Build, update and batch proving must keep producing the same roots,
+   encoded proof bytes and node store counters.  Ten seeded random
+   workloads are fingerprinted, and the SHA-256 of each fingerprint must
+   equal the constant captured when the library still ran POS-tree
+   hashing through a domain pool (where it was checked byte-identical at
+   pool sizes 1, 2, 4 and 8). *)
 
-let test_pool_size_invariance () =
-  let fingerprint ~seed ~pool_size =
-    Pool.set_global_size pool_size;
-    let rng = Rng.create seed in
-    let random_kvs n =
-      List.init n (fun _ ->
-          (Rng.alphanum rng (1 + Rng.int_below rng 8), Rng.alphanum rng 6))
-    in
-    let base = random_kvs (200 + Rng.int_below rng 600) in
-    let upd = random_kvs (50 + Rng.int_below rng 200) in
-    let keys =
-      List.init (1 + Rng.int_below rng 30) (fun _ ->
-          Rng.alphanum rng (1 + Rng.int_below rng 8))
-    in
-    let store, cfg = mk () in
-    let t1 = Pos_tree.insert_batch (Pos_tree.empty cfg) base in
-    let t2 = Pos_tree.insert_batch t1 upd in
-    let mp, items = Pos_tree.prove_batch t2 keys in
-    let buf = Buffer.create 4096 in
-    Pos_tree.encode_multiproof buf mp;
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_string buf k;
-        Buffer.add_string buf (Option.value ~default:"<absent>" v))
-      items;
-    Printf.sprintf "%s|%s|%s|%d|%d|%d|%d"
-      (Hex.encode (Pos_tree.root_hash t1))
-      (Hex.encode (Pos_tree.root_hash t2))
-      (Hex.encode (Buffer.contents buf))
-      (Storage.Node_store.node_count store)
-      (Storage.Node_store.total_bytes store)
-      (Storage.Node_store.cache_hits store)
-      (Storage.Node_store.cache_misses store)
+let fingerprint ~seed =
+  let rng = Rng.create seed in
+  let random_kvs n =
+    List.init n (fun _ ->
+        (Rng.alphanum rng (1 + Rng.int_below rng 8), Rng.alphanum rng 6))
   in
-  let orig = Pool.global_size () in
-  Fun.protect
-    ~finally:(fun () -> Pool.set_global_size orig)
-    (fun () ->
-      for seed = 1 to 10 do
-        let serial = fingerprint ~seed ~pool_size:1 in
-        List.iter
-          (fun n ->
-            Alcotest.(check string)
-              (Printf.sprintf "seed %d, pool %d = serial" seed n)
-              serial
-              (fingerprint ~seed ~pool_size:n))
-          [ 2; 4; 8 ]
-      done)
+  let base = random_kvs (200 + Rng.int_below rng 600) in
+  let upd = random_kvs (50 + Rng.int_below rng 200) in
+  let keys =
+    List.init (1 + Rng.int_below rng 30) (fun _ ->
+        Rng.alphanum rng (1 + Rng.int_below rng 8))
+  in
+  let store, cfg = mk () in
+  let t1 = Pos_tree.insert_batch (Pos_tree.empty cfg) base in
+  let t2 = Pos_tree.insert_batch t1 upd in
+  let mp, items = Pos_tree.prove_batch t2 keys in
+  let buf = Buffer.create 4096 in
+  Pos_tree.encode_multiproof buf mp;
+  List.iter
+    (fun (k, v) ->
+      Buffer.add_string buf k;
+      Buffer.add_string buf (Option.value ~default:"<absent>" v))
+    items;
+  Printf.sprintf "%s|%s|%s|%d|%d|%d|%d"
+    (Hex.encode (Pos_tree.root_hash t1))
+    (Hex.encode (Pos_tree.root_hash t2))
+    (Hex.encode (Buffer.contents buf))
+    (Storage.Node_store.node_count store)
+    (Storage.Node_store.total_bytes store)
+    (Storage.Node_store.cache_hits store)
+    (Storage.Node_store.cache_misses store)
+
+let pinned_fingerprints =
+  [| "3890f2d3aadaf9bd69e34e41826a1961519d9537cb2fd290c03ee26ae5a49f38";
+     "b38ec3bef8dc97d77ff9a4e99fbe3c1e8119c9a0acea82d6f971534a9c7bdbc6";
+     "bd8bb6366867846999585d92dc1916592f6017804633b7c3b4603bf199aadbc2";
+     "9037027671f25282d46c9bf8c7362ce7632f2aeb615d0deb6187e3470d14118e";
+     "58975dadbf82b7ff27e73dd678570b24dd773fd693ce8c25e96a6f59f30300c3";
+     "bf0f56b24ab8501c46050a371ef6e471a0c18c307d346ed8b568dbfddcd4bad2";
+     "5f693e4ffbaa012fabeed8defdb27e702fe8294e288e1514db5058a44f17419b";
+     "1b36ef28547095badda8a2bbc5e0ce3e4111c4d414b8df9424cd5810f0dcb582";
+     "a4d5fa7bd496c2b8ae07eb5043a225e85a39a5c57a0ad845b2bc0b465ee17e71";
+     "53292cd97193582eaeff554b1259e24a90f83943482ecdc584b86f54f20c8b06" |]
+
+let test_pinned_fingerprints () =
+  Array.iteri
+    (fun i expected ->
+      let seed = i + 1 in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d" seed)
+        expected
+        (Hex.encode (Sha256.digest_string (fingerprint ~seed))))
+    pinned_fingerprints
+
+let test_rebuild_same_work () =
+  (* Chunks are built serially and hashing never touches the store, so two
+     builds of the same batch on fresh stores charge identical work and
+     leave identical store and cache statistics — and a later build in the
+     same process is not perturbed by an earlier one. *)
+  let build () =
+    let store = Storage.Node_store.create ~cache_capacity:64 () in
+    let cfg = Pos_tree.config store in
+    let t, w =
+      Work.measure (fun () ->
+          let t = Pos_tree.insert_batch (Pos_tree.empty cfg) (kvs_of 2000) in
+          Pos_tree.insert_batch t
+            (List.init 100 (fun i ->
+                 (Printf.sprintf "key-%05d" (i * 17), "updated"))))
+    in
+    ( Hex.encode (Pos_tree.root_hash t),
+      [ w.Work.hashes; w.Work.node_writes; w.Work.bytes_written;
+        w.Work.page_reads; w.Work.cache_hits;
+        Storage.Node_store.node_count store;
+        Storage.Node_store.total_bytes store;
+        Storage.Node_store.cache_hits store;
+        Storage.Node_store.cache_misses store;
+        Storage.Node_store.duplicate_puts store ] )
+  in
+  let root1, stats1 = build () in
+  let root2, stats2 = build () in
+  Alcotest.(check string) "same root" root1 root2;
+  Alcotest.(check (list int)) "same work and store statistics" stats1 stats2
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -645,9 +681,11 @@ let () =
       ("range",
        [ Alcotest.test_case "range queries + proofs" `Quick test_range_queries ]
        @ qsuite [ prop_range_model ]);
-      ("pool",
-       [ Alcotest.test_case "byte-identical at pool sizes 1/2/4/8" `Quick
-           test_pool_size_invariance ]);
+      ("pinned",
+       [ Alcotest.test_case "10-seed fingerprints" `Quick
+           test_pinned_fingerprints;
+         Alcotest.test_case "rebuild charges the same work" `Quick
+           test_rebuild_same_work ]);
       ("proofs",
        [ Alcotest.test_case "presence and absence" `Quick test_proofs_presence_absence;
          Alcotest.test_case "stale snapshot rejected" `Quick test_proof_stale_snapshot_rejected_on_new_root;

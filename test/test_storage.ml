@@ -65,6 +65,85 @@ let test_node_store_cache_accounting () =
   Alcotest.(check int) "absent: miss counted" (misses + 1)
     (Node_store.cache_misses s)
 
+(* Hashes whose first byte is even (shard 0 of a two-shard store) or odd
+   (shard 1). *)
+let hashes_by_parity parity n =
+  let rec go i acc k =
+    if k = 0 then List.rev acc
+    else
+      let h = Hash.of_string (Printf.sprintf "node-%d" i) in
+      if Char.code h.[0] land 1 = parity then go (i + 1) (h :: acc) (k - 1)
+      else go (i + 1) acc k
+  in
+  go 0 [] n
+
+let test_node_store_shard_eviction () =
+  (* Capacity 64 makes two shards of 32 slots keyed by first-byte parity.
+     Flooding shard 0 evicts only shard-0 nodes: the shard-1 node, though
+     the least recently used overall, stays cached. *)
+  let s = Node_store.create ~cache_capacity:64 () in
+  let odd = List.hd (hashes_by_parity 1 1) in
+  let evens = hashes_by_parity 0 40 in
+  Node_store.put s odd "odd";
+  List.iter (fun h -> Node_store.put s h "even") evens;
+  Alcotest.(check int) "cache full per shard" 33 (Node_store.cached_nodes s);
+  let (), c = Work.measure (fun () -> ignore (Node_store.get s odd)) in
+  Alcotest.(check int) "other shard's node still cached" 1 c.Work.cache_hits;
+  let (), c2 =
+    Work.measure (fun () -> ignore (Node_store.get s (List.hd evens)))
+  in
+  Alcotest.(check int) "oldest node of the full shard evicted" 1
+    c2.Work.page_reads;
+  let (), c3 =
+    Work.measure (fun () ->
+        ignore (Node_store.get s (List.nth evens 39)))
+  in
+  Alcotest.(check int) "newest node of the full shard cached" 1
+    c3.Work.cache_hits
+
+let test_node_store_small_cache_global_lru () =
+  (* Below 64 slots the store keeps one shard, so eviction is exact
+     global LRU whatever the hash bytes. *)
+  let s = Node_store.create ~cache_capacity:63 () in
+  let hs = List.init 64 (fun i -> Hash.of_string (Printf.sprintf "g%d" i)) in
+  List.iter (fun h -> Node_store.put s h "x") hs;
+  Alcotest.(check int) "bounded" 63 (Node_store.cached_nodes s);
+  let (), c = Work.measure (fun () -> ignore (Node_store.get s (List.hd hs))) in
+  Alcotest.(check int) "first put evicted" 1 c.Work.page_reads;
+  let (), c2 =
+    Work.measure (fun () -> List.iter (fun h -> ignore (Node_store.get s h))
+        (List.tl (List.tl hs)))
+  in
+  Alcotest.(check int) "the 62 newest still cached" 62 c2.Work.cache_hits
+
+let test_node_store_capacity_split () =
+  (* Capacity 100 makes three shards of 34/33/33 slots: the total stays
+     exactly the configured capacity once every shard is full. *)
+  let s = Node_store.create ~cache_capacity:100 () in
+  for i = 0 to 999 do
+    Node_store.put s (Hash.of_string (Printf.sprintf "c%d" i)) "x"
+  done;
+  Alcotest.(check int) "configured capacity" 100 (Node_store.cache_capacity s);
+  Alcotest.(check int) "all slots in use" 100 (Node_store.cached_nodes s);
+  Alcotest.(check int) "every node stored" 1000 (Node_store.node_count s)
+
+let test_node_store_cache_disabled () =
+  (* Capacity 0: nothing is cached, so every fetch of a stored node is a
+     page read. *)
+  let s = Node_store.create ~cache_capacity:0 () in
+  let h = Hash.of_string "uncached" in
+  Node_store.put s h "data";
+  Alcotest.(check int) "nothing cached" 0 (Node_store.cached_nodes s);
+  let (), c =
+    Work.measure (fun () ->
+        for _ = 1 to 3 do
+          ignore (Node_store.get s h)
+        done)
+  in
+  Alcotest.(check int) "three page reads" 3 c.Work.page_reads;
+  Alcotest.(check int) "no cache hits" 0 c.Work.cache_hits;
+  Alcotest.(check int) "three misses" 3 (Node_store.cache_misses s)
+
 (* --- WAL --- *)
 
 let test_wal_append_and_replay () =
@@ -214,7 +293,15 @@ let () =
     [ ("node_store",
        [ Alcotest.test_case "dedup" `Quick test_node_store_dedup;
          Alcotest.test_case "work accounting" `Quick test_node_store_work_accounting;
-         Alcotest.test_case "cache accounting" `Quick test_node_store_cache_accounting ]);
+         Alcotest.test_case "cache accounting" `Quick test_node_store_cache_accounting;
+         Alcotest.test_case "shards fix eviction order" `Quick
+           test_node_store_shard_eviction;
+         Alcotest.test_case "small cache is one global LRU" `Quick
+           test_node_store_small_cache_global_lru;
+         Alcotest.test_case "capacity split across shards" `Quick
+           test_node_store_capacity_split;
+         Alcotest.test_case "cache disabled" `Quick
+           test_node_store_cache_disabled ]);
       ("wal",
        [ Alcotest.test_case "append and replay" `Quick test_wal_append_and_replay;
          Alcotest.test_case "truncate_after" `Quick test_wal_truncate_after;

@@ -76,6 +76,24 @@ let test_sha_reset_reuse () =
     [ "abc"; ""; String.make 200 'x'; "abc";
       String.init 1000 (fun i -> Char.chr (i land 0xff)) ]
 
+let test_sha_interleaved_contexts () =
+  (* Contexts share no mutable state: two messages fed alternately, in
+     pieces that straddle block boundaries, digest as if fed alone. *)
+  let m1 = String.init 300 (fun i -> Char.chr (i land 0xff)) in
+  let m2 = String.make 177 'y' in
+  let a = Sha256.init () and b = Sha256.init () in
+  let piece m i = String.sub m i (min 37 (String.length m - i)) in
+  let i = ref 0 in
+  while !i < String.length m1 || !i < String.length m2 do
+    if !i < String.length m1 then Sha256.feed_string a (piece m1 !i);
+    if !i < String.length m2 then Sha256.feed_string b (piece m2 !i);
+    i := !i + 37
+  done;
+  Alcotest.(check string) "first message"
+    (Hex.encode (Sha256.digest_string m1)) (Hex.encode (Sha256.finalize a));
+  Alcotest.(check string) "second message"
+    (Hex.encode (Sha256.digest_string m2)) (Hex.encode (Sha256.finalize b))
+
 let test_sha_use_after_finalize () =
   (* The single-use footgun: feeding or re-finalizing a finalized context
      must raise instead of silently producing a digest of stale state. *)
@@ -159,6 +177,53 @@ let test_hash_combine_feed () =
        (Hash.combine_feed (fun push ->
             push (Hash.leaf "a");
             push (Hash.kv "k" "v"))))
+
+exception Feeder_failed
+
+let test_hash_raising_feeder () =
+  (* The aggregate context is shared process-wide: a feeder that raises
+     half-way must not leak its partial input into the next digest. *)
+  let expected = Hex.encode (Hash.combine [ "p"; "q" ]) in
+  (try
+     ignore
+       (Hash.combine_feed (fun push ->
+            push "partial";
+            raise Feeder_failed))
+   with Feeder_failed -> ());
+  Alcotest.(check string) "combine after a raising feeder" expected
+    (Hex.encode (Hash.combine [ "p"; "q" ]));
+  (try
+     ignore
+       (Hash.digest_many
+          (fun i push ->
+            push "half";
+            if i = 1 then raise Feeder_failed)
+          [| 0; 1; 2 |])
+   with Feeder_failed -> ());
+  Alcotest.(check (array string)) "digest_many after a raising feeder"
+    [| Hex.encode (Hash.of_string "r") |]
+    (Array.map Hex.encode (Hash.digest_many (fun s push -> push s) [| "r" |]));
+  Alcotest.(check string) "primitives unaffected"
+    (Hex.encode (Sha256.digest_string "\x00leaf"))
+    (Hex.encode (Hash.leaf "leaf"))
+
+let test_hash_digest_many_primitive_feeder () =
+  (* digest_many feeders may memoize primitive hashes mid-stream too. *)
+  let inputs = [| "a"; "bb"; "" |] in
+  let expected =
+    Array.map
+      (fun s -> Sha256.digest_strings [ Hash.leaf s; Hash.kv s s ])
+      inputs
+  in
+  let got =
+    Hash.digest_many
+      (fun s push ->
+        push (Hash.leaf s);
+        push (Hash.kv s s))
+      inputs
+  in
+  Alcotest.(check (array string)) "interleaved primitive hashing"
+    (Array.map Hex.encode expected) (Array.map Hex.encode got)
 
 let test_hash_digest_many () =
   let inputs = Array.init 17 (fun i -> String.make i 'q') in
@@ -340,11 +405,137 @@ let test_work_measure () =
   Alcotest.(check int) "node write" 1 c2.Work.node_writes;
   Alcotest.(check int) "bytes" 100 c2.Work.bytes_written
 
+let counters =
+  Alcotest.testable
+    (fun fmt c ->
+      Format.fprintf fmt "{h=%d nw=%d b=%d pr=%d ch=%d}" c.Work.hashes
+        c.Work.node_writes c.Work.bytes_written c.Work.page_reads
+        c.Work.cache_hits)
+    ( = )
+
+let test_work_add_sub () =
+  let a =
+    { Work.hashes = 5; node_writes = 2; bytes_written = 90; page_reads = 3;
+      cache_hits = 7 }
+  in
+  let b =
+    { Work.hashes = 1; node_writes = 1; bytes_written = 40; page_reads = 0;
+      cache_hits = 2 }
+  in
+  Alcotest.check counters "add"
+    { Work.hashes = 6; node_writes = 3; bytes_written = 130; page_reads = 3;
+      cache_hits = 9 }
+    (Work.add a b);
+  Alcotest.check counters "sub (add a b) b = a" a (Work.sub (Work.add a b) b);
+  Alcotest.check counters "zero is the identity" a (Work.add a Work.zero);
+  Alcotest.check counters "sub a a = zero" Work.zero (Work.sub a a)
+
+let test_work_reset () =
+  Work.note_hash ~n:3 ();
+  Work.note_node_write ~bytes:12;
+  Work.note_page_read ();
+  Work.note_cache_hit ~n:2 ();
+  Work.reset ();
+  Alcotest.check counters "every counter zeroed" Work.zero (Work.snapshot ());
+  Work.note_page_read ~n:4 ();
+  Alcotest.(check int) "counting resumes from zero" 4
+    (Work.snapshot ()).Work.page_reads
+
+let test_work_nested_measure () =
+  (* One process-wide context: an inner measure sees only its own work and
+     the outer one sees both. *)
+  let (inner, ()), outer =
+    Work.measure (fun () ->
+        Work.note_hash ();
+        let (), inner = Work.measure (fun () -> Work.note_hash ~n:2 ()) in
+        Work.note_cache_hit ();
+        (inner, ()))
+  in
+  Alcotest.(check int) "inner hashes" 2 inner.Work.hashes;
+  Alcotest.(check int) "outer hashes include inner" 3 outer.Work.hashes;
+  Alcotest.(check int) "outer cache hits" 1 outer.Work.cache_hits;
+  Alcotest.(check int) "inner cache hits" 0 inner.Work.cache_hits
+
+let with_attribution f =
+  Work.set_attribution true;
+  Work.reset_attribution ();
+  Fun.protect
+    ~finally:(fun () ->
+      Work.set_attribution false;
+      Work.reset_attribution ())
+    f
+
+let attributed_hashes comp =
+  match List.assoc_opt comp (Work.attribution ()) with
+  | Some c -> c.Work.hashes
+  | None -> 0
+
+let test_work_attribution_accumulates () =
+  (* Repeated scopes of one component sum into one entry, and the total
+     equals the measured work. *)
+  with_attribution (fun () ->
+      let (), w =
+        Work.measure (fun () ->
+            for i = 0 to 15 do
+              Work.with_component "postree" (fun () ->
+                  Work.note_hash ~n:(i + 1) ())
+            done)
+      in
+      Alcotest.(check (list string)) "one component" [ "postree" ]
+        (List.map fst (Work.attribution ()));
+      Alcotest.(check int) "summed hashes" 136 (attributed_hashes "postree");
+      Alcotest.(check int) "matches the measurement" w.Work.hashes
+        (attributed_hashes "postree"))
+
+let test_work_attribution_disabled () =
+  Work.set_attribution false;
+  Work.reset_attribution ();
+  Alcotest.(check bool) "disabled" false (Work.attribution_enabled ());
+  let v = Work.with_component "ledger" (fun () -> Work.note_hash (); 42) in
+  Alcotest.(check int) "value passes through" 42 v;
+  Alcotest.(check int) "nothing attributed" 0
+    (List.length (Work.attribution ()))
+
+let test_work_attribution_toggle_mid_scope () =
+  (* Turning attribution off inside a scope drops the open frames; scopes
+     opened after re-enabling attribute from a clean stack. *)
+  with_attribution (fun () ->
+      Work.with_component "outer" (fun () ->
+          Work.set_attribution false;
+          Work.note_hash ());
+      Work.set_attribution true;
+      Work.reset_attribution ();
+      Work.with_component "a" (fun () ->
+          Work.note_hash ();
+          Work.with_component "b" (fun () -> Work.note_hash ~n:2 ()));
+      Alcotest.(check int) "a self hashes" 1 (attributed_hashes "a");
+      Alcotest.(check int) "b self hashes" 2 (attributed_hashes "b");
+      Alcotest.(check int) "no stale frame" 0 (attributed_hashes "outer"))
+
+let test_work_measure_every_counter () =
+  (* measure reports the exact delta of every counter kind, and the
+     process-wide totals grow by the same amount. *)
+  let before = Work.snapshot () in
+  let (), c =
+    Work.measure (fun () ->
+        Work.note_hash ~n:2 ();
+        Work.note_node_write ~bytes:7;
+        Work.note_node_write ~bytes:5;
+        Work.note_page_read ~n:3 ();
+        Work.note_cache_hit ())
+  in
+  Alcotest.check counters "measured delta"
+    { Work.hashes = 2; node_writes = 2; bytes_written = 12; page_reads = 3;
+      cache_hits = 1 }
+    c;
+  Alcotest.check counters "global totals moved by the same delta" c
+    (Work.sub (Work.snapshot ()) before)
+
 (* --- Lhist --- *)
 
 (* Merging two histograms is bucket-exact: the merged bucket list equals
    the histogram that saw every sample directly, so quantile estimates
-   never depend on how the samples were partitioned across domains. *)
+   never depend on how the samples were partitioned across histograms. *)
 let test_lhist_merge_bucket_alignment () =
   let rng = Rng.create 7 in
   let xs = Array.init 500 (fun _ -> Rng.float rng *. 10.) in
@@ -448,183 +639,6 @@ let test_rng_split_n () =
   Alcotest.check_raises "negative" (Invalid_argument "Rng.split_n") (fun () ->
       ignore (Rng.split_n a (-1)))
 
-(* --- Pool --- *)
-
-let with_pool n f =
-  let p = Pool.create n in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
-
-let test_pool_map_matches_serial () =
-  let input = Array.init 101 (fun i -> i) in
-  let f i = i * i in
-  let expected = Array.map f input in
-  List.iter
-    (fun n ->
-      with_pool n (fun p ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "size %d" n)
-            expected
-            (Pool.parallel_map p f input)))
-    [ 1; 2; 4 ];
-  (* Explicit chunk sizes, including ones that do not divide the input. *)
-  with_pool 4 (fun p ->
-      List.iter
-        (fun chunk ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "chunk %d" chunk)
-            expected
-            (Pool.parallel_map ~chunk p f input))
-        [ 1; 7; 100; 1000 ])
-
-let test_pool_cost_map () =
-  (* Cost-aware granularity: results and Work accounting must equal the
-     serial map at every pool size and threshold — whether the batch
-     splits by quantum, lands in one task, or bypasses the pool. *)
-  let input = Array.init 101 (fun i -> String.make (i * 13 mod 64) 'x') in
-  let f s =
-    ignore (Hash.of_string s);
-    String.length s
-  in
-  let expected, serial_work = Work.measure (fun () -> Array.map f input) in
-  let saved = Pool.work_threshold () in
-  Fun.protect
-    ~finally:(fun () -> Pool.set_work_threshold saved)
-    (fun () ->
-      List.iter
-        (fun threshold ->
-          Pool.set_work_threshold threshold;
-          List.iter
-            (fun n ->
-              with_pool n (fun p ->
-                  let got, work =
-                    Work.measure (fun () ->
-                        Pool.parallel_map ~cost:String.length p f input)
-                  in
-                  Alcotest.(check (array int))
-                    (Printf.sprintf "size %d threshold %d" n threshold)
-                    expected got;
-                  Alcotest.(check int)
-                    (Printf.sprintf "hashes at size %d threshold %d" n
-                       threshold)
-                    serial_work.Work.hashes work.Work.hashes))
-            [ 1; 2; 4 ])
-        [ 0; 64; 1_000_000 ]);
-  Alcotest.check_raises "chunk and cost are exclusive"
-    (Invalid_argument "Pool.parallel_map: ~chunk and ~cost are exclusive")
-    (fun () ->
-      with_pool 2 (fun p ->
-          ignore (Pool.parallel_map ~chunk:1 ~cost:String.length p f input)))
-
-let test_pool_run_claim_batching () =
-  (* Many more tasks than domains: drain claims runs of tasks per atomic
-     op, and results must still come back in submission order. *)
-  with_pool 4 (fun p ->
-      let n = 200 in
-      Alcotest.(check (list int))
-        "claimed runs preserve order"
-        (List.init n Fun.id)
-        (Pool.run p (List.init n (fun i () -> i))))
-
-let test_pool_run_order () =
-  with_pool 4 (fun p ->
-      Alcotest.(check (list string))
-        "results in submission order"
-        [ "a"; "b"; "c"; "d"; "e" ]
-        (Pool.run p
-           (List.map (fun s () -> s) [ "a"; "b"; "c"; "d"; "e" ])))
-
-let test_pool_exception () =
-  with_pool 2 (fun p ->
-      Alcotest.check_raises "first submission-order raise wins"
-        (Invalid_argument "task 3") (fun () ->
-          ignore
-            (Pool.parallel_map ~chunk:1 p
-               (fun i ->
-                 if i >= 3 then invalid_arg (Printf.sprintf "task %d" i);
-                 i)
-               (Array.init 8 (fun i -> i)))))
-
-let test_pool_work_merge () =
-  (* The Work counters measured around a parallel map equal the serial
-     measurement: captures absorb in submission order. *)
-  let body i =
-    Work.note_node_write ~bytes:(i * 10);
-    ignore (Hash.of_string (string_of_int i));
-    i
-  in
-  let input = Array.init 64 (fun i -> i) in
-  let expected, serial_work =
-    Work.measure (fun () -> Array.map body input)
-  in
-  List.iter
-    (fun n ->
-      with_pool n (fun p ->
-          let got, work =
-            Work.measure (fun () -> Pool.parallel_map p body input)
-          in
-          Alcotest.(check (array int))
-            (Printf.sprintf "values at size %d" n)
-            expected got;
-          Alcotest.(check int)
-            (Printf.sprintf "hashes at size %d" n)
-            serial_work.Work.hashes work.Work.hashes;
-          Alcotest.(check int)
-            (Printf.sprintf "bytes at size %d" n)
-            serial_work.Work.bytes_written work.Work.bytes_written))
-    [ 1; 2; 4 ]
-
-let test_pool_attribution_merge () =
-  (* Attribution accrued inside tasks lands in the submitting domain's
-     table, identical to the serial nesting. *)
-  let body i =
-    Work.with_component "postree" (fun () -> Work.note_hash ~n:(i + 1) ());
-    i
-  in
-  let input = Array.init 16 (fun i -> i) in
-  let serial_attr =
-    Work.set_attribution true;
-    ignore (Array.map body input);
-    let a = Work.attribution () in
-    Work.set_attribution false;
-    Work.reset_attribution ();
-    a
-  in
-  with_pool 4 (fun p ->
-      Work.set_attribution true;
-      ignore (Pool.parallel_map p body input);
-      let got = Work.attribution () in
-      Work.set_attribution false;
-      Work.reset_attribution ();
-      Alcotest.(check int) "one component" 1 (List.length got);
-      List.iter2
-        (fun (cs, sw) (cg, gw) ->
-          Alcotest.(check string) "component" cs cg;
-          Alcotest.(check int) "hashes" sw.Work.hashes gw.Work.hashes)
-        serial_attr got)
-
-let test_pool_nested_inline () =
-  (* A task that itself calls parallel_map must not deadlock: nested
-     submissions run inline on the task's domain. *)
-  with_pool 2 (fun p ->
-      let got =
-        Pool.parallel_map ~chunk:1 p
-          (fun i ->
-            Array.fold_left ( + ) 0
-              (Pool.parallel_map ~chunk:1 p (fun j -> i + j)
-                 (Array.init 4 (fun j -> j))))
-          (Array.init 6 (fun i -> i))
-      in
-      Alcotest.(check (array int)) "nested totals"
-        (Array.init 6 (fun i -> (4 * i) + 6))
-        got)
-
-let test_pool_shutdown_inline () =
-  let p = Pool.create 2 in
-  Pool.shutdown p;
-  Pool.shutdown p;
-  Alcotest.(check (list int)) "after shutdown runs inline" [ 1; 2 ]
-    (Pool.run p [ (fun () -> 1); (fun () -> 2) ])
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -639,7 +653,9 @@ let () =
            test_sha_use_after_finalize;
          Alcotest.test_case "digest_into offsets and bounds" `Quick
            test_sha_digest_into ]
-       @ qsuite [ prop_incremental_matches_oneshot ]);
+       @ qsuite [ prop_incremental_matches_oneshot ]
+       @ [ Alcotest.test_case "interleaved contexts are independent" `Quick
+             test_sha_interleaved_contexts ]);
       ("hex",
        [ Alcotest.test_case "invalid input" `Quick test_hex_invalid ]
        @ qsuite [ prop_hex_roundtrip ]);
@@ -648,7 +664,11 @@ let () =
          Alcotest.test_case "kv unambiguous" `Quick test_hash_kv_unambiguous;
          Alcotest.test_case "combine_feed streams" `Quick
            test_hash_combine_feed;
-         Alcotest.test_case "batched digests" `Quick test_hash_digest_many ]);
+         Alcotest.test_case "batched digests" `Quick test_hash_digest_many;
+         Alcotest.test_case "raising feeder leaves contexts clean" `Quick
+           test_hash_raising_feeder;
+         Alcotest.test_case "primitives inside digest_many" `Quick
+           test_hash_digest_many_primitive_feeder ]);
       ("codec",
        [ Alcotest.test_case "malformed input" `Quick test_codec_malformed;
          Alcotest.test_case "trailing bytes" `Quick test_codec_trailing ]
@@ -677,17 +697,16 @@ let () =
          Alcotest.test_case "merge incompatible geometry" `Quick
            test_lhist_merge_incompatible ]);
       ("work",
-       [ Alcotest.test_case "measure" `Quick test_work_measure ]);
-      ("pool",
-       [ Alcotest.test_case "map matches serial" `Quick test_pool_map_matches_serial;
-         Alcotest.test_case "cost-aware map matches serial" `Quick
-           test_pool_cost_map;
-         Alcotest.test_case "claim batching preserves order" `Quick
-           test_pool_run_claim_batching;
-         Alcotest.test_case "run preserves order" `Quick test_pool_run_order;
-         Alcotest.test_case "exception propagation" `Quick test_pool_exception;
-         Alcotest.test_case "work counter merge" `Quick test_pool_work_merge;
-         Alcotest.test_case "attribution merge" `Quick test_pool_attribution_merge;
-         Alcotest.test_case "nested runs inline" `Quick test_pool_nested_inline;
-         Alcotest.test_case "shutdown degrades to inline" `Quick
-           test_pool_shutdown_inline ]) ]
+       [ Alcotest.test_case "measure" `Quick test_work_measure;
+         Alcotest.test_case "add/sub componentwise" `Quick test_work_add_sub;
+         Alcotest.test_case "reset zeroes the counters" `Quick
+           test_work_reset;
+         Alcotest.test_case "nested measure" `Quick test_work_nested_measure;
+         Alcotest.test_case "repeated scopes accumulate" `Quick
+           test_work_attribution_accumulates;
+         Alcotest.test_case "attribution disabled records nothing" `Quick
+           test_work_attribution_disabled;
+         Alcotest.test_case "toggle mid-scope drops frames" `Quick
+           test_work_attribution_toggle_mid_scope;
+         Alcotest.test_case "measure reports every counter" `Quick
+           test_work_measure_every_counter ]) ]

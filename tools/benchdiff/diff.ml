@@ -12,8 +12,8 @@
    over them.
 
    The "wallclock" block is skipped (it is the one section the BENCH
-   schemas allow to differ between identical runs).  Everything else,
-   including the glassdb.prof/v1 sections, participates.
+   schemas allow to differ between identical runs).  Everything else
+   participates.
 
    Arrays of objects are aligned by a key field when every element of
    both sides carries a unique "stage" or "name" string (the BENCH stage

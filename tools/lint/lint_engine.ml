@@ -35,10 +35,9 @@ let rules =
      "no unordered Hashtbl.iter/fold/to_seq; drain through \
       Glassdb_util.Det (sorted_bindings / unordered_fold) or annotate");
     ("D004",
-     "no ambient Domain.spawn / Domain.join / Thread.create / Mutex.create \
-      / Condition.create; all parallelism and locking routes through \
-      Glassdb_util.Pool (lib/util/pool), whose deterministic joins keep \
-      parallel runs byte-identical to serial ones");
+     "no Domain.spawn / Domain.join / Domain.DLS.new_key / Thread.create \
+      / Mutex.create / Condition.create; the library is single-domain, so \
+      work runs serially and state lives in plain values");
     ("S001",
      "no polymorphic =/<>/compare in lib/; use String.equal, Int.compare, \
       Hash.equal or a type-specific comparator");
@@ -75,8 +74,8 @@ let unordered_idents =
 let partial_idents = [ "List.hd"; "List.tl"; "Option.get" ]
 
 let ambient_domain_idents =
-  [ "Domain.spawn"; "Domain.join"; "Mutex.create"; "Condition.create";
-    "Thread.create" ]
+  [ "Domain.spawn"; "Domain.join"; "Domain.DLS.new_key"; "Mutex.create";
+    "Condition.create"; "Thread.create" ]
 
 let is_ambient_random name =
   (* Any global Random.* entry point is ambient state; Random.State.* is
@@ -189,10 +188,8 @@ let check_ident ctx (loc : Location.t) lid =
   else if List.mem name ambient_domain_idents then
     add_finding ctx loc "D004"
       (Printf.sprintf
-         "ambient concurrency primitive %s; route parallelism through \
-          Glassdb_util.Pool (run / parallel_map) and locking through \
-          Pool.Lock — lib/util/pool is the one sanctioned home of raw \
-          domains and mutexes"
+         "concurrency primitive %s; the library is single-domain — run \
+          the work serially and keep state in plain module-level values"
          name)
   else begin
     match ctx.c_scope with

@@ -31,18 +31,6 @@ val lint_source : scope:scope -> file:string -> string -> report
 val lint_file : scope:scope -> string -> report
 (** [lint_source] over the contents of a file on disk. *)
 
-type sexp = Atom of string | List of sexp list
-
-val parse_sexps : string -> sexp list
-(** The minimal s-expression reader behind {!load_grants} (atoms, quoted
-    strings, lists, [;] comments), shared with racecheck's
-    lockorder.sexp. Raises [Failure] on malformed input. *)
-
-val walk_mls : string -> string -> string list
-(** [walk_mls dir rel]: every .ml under [dir] as paths relative to it
-    (prefixed with [rel] when non-empty), skipping dot-directories and
-    _build; deterministic order. *)
-
 type grant = { g_file : string; g_rule : string; g_reason : string }
 
 val load_grants : string -> grant list
