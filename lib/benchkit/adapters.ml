@@ -115,7 +115,10 @@ let make_qldb p =
           { Qldb.default_config with Qldb.workers = p.workers }
           ~shard_id:i)
   in
-  let cl = Qldb.Cluster.create ~rpc_timeout:p.rpc_timeout nodes in
+  let cl =
+    Qldb.Cluster.create ~rpc_timeout:p.rpc_timeout ~rpc_retries:p.rpc_retries
+      ~retry_backoff:p.retry_backoff nodes
+  in
   let mk_client i =
     let c = Qldb.Cluster.Client.create cl ~id:i ~sk:(Printf.sprintf "sk-%d" i) in
     let failures = ref 0 in
@@ -180,7 +183,7 @@ let make_qldb p =
         List.iter (fun k -> ignore (verified_get k)) !written;
         Ok ()
       | Error e -> Error e
-      | exception Qldb.Cluster.Client.Abort e -> Error e
+      | exception Vlayer.Dist.Abort e -> Error e
     in
     { c_execute = execute ~verified:false;
       c_execute_verified = execute ~verified:true;
@@ -235,7 +238,10 @@ let make_ledgerdb p =
             batch_interval = p.persist_interval }
           ~shard_id:i)
   in
-  let cl = Ledgerdb.Cluster.create ~rpc_timeout:p.rpc_timeout nodes in
+  let cl =
+    Ledgerdb.Cluster.create ~rpc_timeout:p.rpc_timeout
+      ~rpc_retries:p.rpc_retries ~retry_backoff:p.retry_backoff nodes
+  in
   let running = ref false in
   let batcher nd =
     let pool = Ledgerdb.Node.workers nd in
@@ -246,17 +252,13 @@ let make_ledgerdb p =
           (* The bAMT updater occupies one worker thread and pushes its
              writes through the shared disk. *)
           Sim.Resource.use pool (fun () ->
-              let t0 = Sim.now () in
-              let folded, work =
-                Work.measure (fun () -> Ledgerdb.Node.flush_batch nd)
+              let folded, dt =
+                Vlayer.Dist.charged ~disk:(Ledgerdb.Node.disk nd) (fun () ->
+                    Ledgerdb.Node.flush_batch nd)
               in
-              let cpu, io = Cost.split_time (Ledgerdb.Node.cost nd) work in
-              Sim.sleep cpu;
-              if io > 0. then
-                Sim.Resource.use (Ledgerdb.Node.disk nd) (fun () -> Sim.sleep io);
               if folded > 0 then
                 Ledgerdb.Node.note_phase nd "persist"
-                  ((Sim.now () -. t0) /. float_of_int folded));
+                  (dt /. float_of_int folded));
         loop ()
       end
     in
@@ -329,7 +331,7 @@ let make_ledgerdb p =
         List.iter (fun k -> pending := (due, k) :: !pending) !written;
         Ok ()
       | Error e -> Error e
-      | exception Ledgerdb.Cluster.Client.Abort e -> Error e
+      | exception Vlayer.Dist.Abort e -> Error e
     in
     { c_execute = execute ~verified:false;
       c_execute_verified = execute ~verified:true;
@@ -409,7 +411,7 @@ let make_trillian p =
       if !running then begin
         Sim.sleep p.persist_interval;
         if !running then
-          ignore (Cost.charge (Trillian.cost t) (fun () -> Trillian.sequence t));
+          ignore (Cost.charge Cost.default (fun () -> Trillian.sequence t));
         loop ()
       end
     in
@@ -427,7 +429,7 @@ let make_trillian p =
                  single backend instance. *)
               Sim.Resource.use (Trillian.backend t) (fun () ->
                   Sim.sleep (Trillian.backend_delay t));
-              Cost.charge (Trillian.cost t) (fun () -> f ()))
+              Cost.charge Cost.default (fun () -> f ()))
         in
         (match phase with
          | Some name -> Trillian.note_phase t name (Sim.now () -. arrived)

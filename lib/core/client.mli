@@ -1,26 +1,23 @@
 (** GlassDB client session (Section 3.2.1 APIs).
 
-    The client is the two-phase-commit coordinator: it buffers writes,
-    executes reads against the owning shards, and on commit runs
-    prepare/commit rounds across every shard involved.  It caches each
+    Transactions run on the shared two-phase-commit coordinator of
+    {!Vlayer.Dist}, the same one the QLDB* and LedgerDB* baselines use:
+    it buffers writes, executes reads against the owning shards, and on
+    commit runs prepare/commit rounds across every shard involved, with
+    per-attempt timeouts, bounded exponential-backoff retries and
+    unconditional abort rounds.  On top of it the client caches each
     shard's latest digest, holds the server's deferred-verification
-    promises, and checks every proof it receives — updating the digest only
-    when the append-only proof from the previously cached digest verifies.
-
-    Every RPC has a per-attempt timeout with bounded exponential-backoff
-    retries; errors are the shared typed {!Glassdb_util.Error.t}, and
-    retry/abort policy dispatches on the constructor.  Cleanup of 2PC
-    prepare state is unconditional: every abort path runs a (retried)
-    abort round so half-prepared shards do not leak OCC locks. *)
+    promises, and checks every proof it receives — updating the digest
+    only when the append-only proof from the previously cached digest
+    verifies. *)
 
 module Kv = Txnkit.Kv
 
 type t
 
-val create :
-  ?rpc_timeout:float -> ?verify_delay:float -> ?rpc_retries:int ->
-  ?retry_backoff:float -> Cluster.t -> id:int -> sk:string -> t
-(** Each optional knob defaults to the cluster {!Config.t}'s value. *)
+val create : Cluster.t -> id:int -> sk:string -> t
+(** RPC timeout, retry policy and verification delay come from the
+    cluster's {!Config.t}. *)
 
 val id : t -> int
 val public_key : t -> string
@@ -32,9 +29,9 @@ type handle
 (** In-flight transaction context. *)
 
 exception Abort of Glassdb_util.Error.t
-(** Raised inside {!execute}'s body by failed reads (node down, timeout
-    after retries); turns into [Error _] after the unconditional abort
-    round. *)
+(** {!Vlayer.Dist.Abort}, the one abort exception of every system: raised
+    inside {!execute}'s body by failed reads (node down, timeout after
+    retries); turns into [Error _] after the unconditional abort round. *)
 
 val execute :
   t -> (handle -> 'a) ->

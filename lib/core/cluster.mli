@@ -1,11 +1,16 @@
-(** A simulated GlassDB deployment: [shards] nodes behind a shared network
-    model, with one persister process per node (Figure 3's persisting
-    thread).  All client/auditor traffic flows through {!call}, which
-    charges transfer latency and node service time measured from real work
-    counters, and consults the deployment's {!Faults} schedule (drops,
-    delays, partitions, crashes). *)
+(** A simulated GlassDB deployment: [shards] nodes on the shared
+    distributed layer ({!Vlayer.Dist}), with one persister process per node
+    (Figure 3's persisting thread).  All client/auditor traffic flows
+    through {!call}, which charges transfer latency and node service time
+    measured from real work counters, and consults the deployment's
+    {!Faults} schedule (drops, delays, partitions, crashes). *)
 
 module Kv = Txnkit.Kv
+
+module Layer :
+  Vlayer.Dist.S with type node = Node.t and type receipt = Node.promise
+(** The RPC fabric and 2PC coordinator, instantiated over GlassDB nodes:
+    a commit's receipts are its deferred-verification promises. *)
 
 type t
 
@@ -21,31 +26,19 @@ val start : t -> unit
 val stop : t -> unit
 (** Stop the persisters (lets the simulation drain). *)
 
+val layer : t -> Layer.t
 val config_of : t -> Config.t
-val faults_of : t -> Faults.t
 val shards : t -> int
 val node : t -> int -> Node.t
 val nodes : t -> Node.t array
 val shard_of_key : t -> Kv.key -> int
 
 val call :
-  t -> ?timeout:float -> ?phase:string * int -> ?ctx:Obs.Trace.ctx ->
-  shard:int ->
+  t -> ?phase:string * int -> ?ctx:Obs.Trace.ctx -> shard:int ->
   req_bytes:int -> resp_bytes:('a -> int) -> (Node.t -> 'a) ->
   ('a, Glassdb_util.Error.t) result
-(** One RPC: request transfer, queue for a worker, execute the handler with
-    its measured work charged as service time, response transfer.  Errors
-    are typed — [Node_down] when the shard is crashed, [Timeout] when the
-    request or response was dropped — and always surface after the caller
-    has slept out the full [rpc_timeout] ([?timeout] overrides the
-    configured one per call), exactly like a timed-out wire.
-    Note a [Timeout] on the response leg means the handler DID run.
-
-    [ctx] is the caller's trace context, carried in the message envelope:
-    the server-side span is parented on it (so remote prepare/commit spans
-    nest under the originating client span in the Chrome trace), and any
-    fault-injected drop or delay on either leg is annotated against it as
-    a [net.drop] / [net.delay] instant on the shard's track. *)
+(** One RPC attempt under the configured [rpc_timeout]; see
+    {!Vlayer.Dist.S.call}. *)
 
 val persist_all : t -> now:float -> int
 (** Drain every live shard's committed backlog into its ledger at

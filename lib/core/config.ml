@@ -6,7 +6,6 @@ type t = {
   sync_persist : bool;
   pattern_bits : int;
   queue_capacity : int;
-  cost : Cost.t;
   rtt : float;
   bandwidth : float;
   rpc_timeout : float;
@@ -18,7 +17,7 @@ type t = {
 
 let make ?(shards = 4) ?(workers = 8) ?(persist_interval = 0.05)
     ?(batching = true) ?(sync_persist = false) ?(pattern_bits = 5)
-    ?(queue_capacity = 4096) ?(cost = Cost.default) ?(rtt = 200e-6)
+    ?(queue_capacity = 4096) ?(rtt = 200e-6)
     ?(bandwidth = 125e6) ?(rpc_timeout = 1.0) ?(rpc_retries = 2)
     ?(retry_backoff = 0.01) ?(verify_delay = 0.1) ?faults () =
   if shards <= 0 then invalid_arg "Config.make: shards";
@@ -34,7 +33,6 @@ let make ?(shards = 4) ?(workers = 8) ?(persist_interval = 0.05)
     sync_persist;
     pattern_bits;
     queue_capacity;
-    cost;
     rtt;
     bandwidth;
     rpc_timeout;
@@ -51,5 +49,4 @@ let node cfg =
     batching = cfg.batching;
     sync_persist = cfg.sync_persist;
     pattern_bits = cfg.pattern_bits;
-    cost = cfg.cost;
     queue_capacity = cfg.queue_capacity }

@@ -15,7 +15,6 @@ type t = {
   sync_persist : bool;      (** true = persist inside commit (no-DV) *)
   pattern_bits : int;       (** POS-tree split-pattern bits *)
   queue_capacity : int;     (** max in-flight txns per node before aborting *)
-  cost : Cost.t;            (** work → simulated-time model *)
   rtt : float;              (** network round trip, seconds *)
   bandwidth : float;        (** link bandwidth, bytes/second *)
   rpc_timeout : float;      (** per-RPC attempt deadline, seconds *)
@@ -33,7 +32,6 @@ val make :
   ?sync_persist:bool ->     (* false *)
   ?pattern_bits:int ->      (* 5 *)
   ?queue_capacity:int ->    (* 4096 *)
-  ?cost:Cost.t ->           (* Cost.default *)
   ?rtt:float ->             (* 200e-6 s: same-rack TCP *)
   ?bandwidth:float ->       (* 125e6 B/s: 1 Gbps *)
   ?rpc_timeout:float ->     (* 1.0 s *)

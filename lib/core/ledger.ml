@@ -304,45 +304,6 @@ let encode_proof = proof_codec.Codec.encode
 let decode_proof = proof_codec.Codec.decode
 let proof_size_bytes = proof_codec.Codec.size_bytes
 
-(* The batched wire encoding for a set of single-key proofs: the distinct
-   headers and chunks once, then per-proof frames referencing them by
-   index.  [batch_size_bytes] is the exact length of this encoding. *)
-let encode_proof_batch buf proofs =
-  let seen = Hashtbl.create 64 in
-  let pool = ref [] and npool = ref 0 in
-  let intern s =
-    match Hashtbl.find_opt seen s with
-    | Some i -> i
-    | None ->
-      let i = !npool in
-      Hashtbl.replace seen s i;
-      pool := s :: !pool;
-      incr npool;
-      i
-  in
-  let frames =
-    List.map
-      (fun p ->
-        ( p.p_block,
-          intern p.p_header,
-          List.map intern (Pos_tree.proof_chunks p.p_upper),
-          List.map intern (Pos_tree.proof_chunks p.p_lower),
-          p.p_payload ))
-      proofs
-  in
-  Codec.write_list buf Codec.write_string (List.rev !pool);
-  Codec.write_list buf
-    (fun b (block, header, upper, lower, payload) ->
-      Codec.write_varint b block;
-      Codec.write_varint b header;
-      Codec.write_list b Codec.write_varint upper;
-      Codec.write_list b Codec.write_varint lower;
-      Codec.write_option b Codec.write_string payload)
-    frames
-
-let batch_size_bytes proofs =
-  String.length (Codec.to_string encode_proof_batch proofs)
-
 let prove_inclusion t key ~block =
   match (header_at t block, state_at t block) with
   | Some header, Some st ->

@@ -126,10 +126,6 @@ val proof_codec : proof Codec.codec
 
 val proof_size_bytes : proof -> int
 
-val batch_size_bytes : proof list -> int
-(** Size after deduplicating shared tree chunks — what a server batching
-    proofs for keys in the same block actually ships. *)
-
 val prove_inclusion : t -> Kv.key -> block:int -> proof
 (** Raises [Invalid_argument] when the block does not exist. *)
 

@@ -9,7 +9,6 @@ type config = {
   batching : bool;
   sync_persist : bool;
   pattern_bits : int;
-  cost : Cost.t;
   queue_capacity : int;
 }
 

@@ -16,7 +16,6 @@ type config = {
   batching : bool;          (** false = one block per transaction (no-BA) *)
   sync_persist : bool;      (** true = persist inside commit (no-DV) *)
   pattern_bits : int;
-  cost : Cost.t;
   queue_capacity : int;     (** max in-flight transactions before aborting *)
 }
 (** Built from a deployment's [Config.t] by [Config.node]; each block

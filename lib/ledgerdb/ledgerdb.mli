@@ -18,7 +18,6 @@ module Kv = Txnkit.Kv
 
 type config = {
   workers : int;
-  cost : Cost.t;
   queue_capacity : int;
   batch_interval : float; (** bAMT/ccMPT update period *)
 }
@@ -33,13 +32,11 @@ module Node : sig
   val alive : t -> bool
   val workers : t -> Sim.Resource.t
   val disk : t -> Sim.Resource.t
-  val cost : t -> Cost.t
   val note_phase : t -> string -> float -> unit
   val phase_stats : t -> (string * Stats.t) list
   val commit_count : t -> int
   val abort_count : t -> int
   val reset_stats : t -> unit
-  val config_of : t -> config
 
   val commit_lock : t -> Sim.Resource.t option
   val prepare : t -> rw:Kv.rw_set -> Kv.signed_txn -> Txnkit.Occ.verdict
@@ -87,4 +84,5 @@ module Node : sig
   val recover : t -> unit
 end
 
-module Cluster : module type of Vlayer.Dist.Make (Node)
+module Cluster :
+  Vlayer.Dist.S with type node = Node.t and type receipt = unit

@@ -519,7 +519,6 @@ let chunk_list_codec : string list Codec.codec =
 
 let proof_codec : proof Codec.codec = chunk_list_codec
 let proof_size_bytes = proof_codec.Codec.size_bytes
-let proof_chunks p = p
 let encode_proof = proof_codec.Codec.encode
 let decode_proof = proof_codec.Codec.decode
 

@@ -63,11 +63,6 @@ val verify : root:Hash.t -> key:string -> value:string option -> proof -> bool
 (** Check a proof against a trusted root digest: [Some v] asserts the
     binding, [None] asserts absence. *)
 
-val proof_chunks : proof -> string list
-(** The serialized chunks the proof carries, root first — exposed so a
-    caller merging several proofs can deduplicate shared chunks without
-    re-encoding. *)
-
 (* --- batched multiproofs --- *)
 
 type multiproof

@@ -19,7 +19,6 @@ module Kv = Txnkit.Kv
 
 type config = {
   workers : int;
-  cost : Cost.t;
   queue_capacity : int;
 }
 
@@ -33,7 +32,6 @@ module Node : sig
   val alive : t -> bool
   val workers : t -> Sim.Resource.t
   val disk : t -> Sim.Resource.t
-  val cost : t -> Cost.t
   val note_phase : t -> string -> float -> unit
   val phase_stats : t -> (string * Stats.t) list
   val commit_count : t -> int
@@ -80,4 +78,5 @@ module Node : sig
   val recover : t -> unit
 end
 
-module Cluster : module type of Vlayer.Dist.Make (Node)
+module Cluster :
+  Vlayer.Dist.S with type node = Node.t and type receipt = unit

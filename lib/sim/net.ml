@@ -10,8 +10,6 @@ let create ?(rtt = 200e-6) ?(bandwidth = 125e6) ?faults () =
   let faults = match faults with Some f -> f | None -> Faults.none () in
   { rtt; bandwidth; faults; bytes = 0 }
 
-let faults_of t = t.faults
-
 let one_way t ~bytes_len =
   (t.rtt /. 2.) +. (float_of_int bytes_len /. t.bandwidth)
 
@@ -36,19 +34,5 @@ let try_send t ?note ~link ~bytes_len () =
   let delivered = Faults.deliver t.faults ~shard:link in
   if not delivered then tell "drop";
   delivered
-
-let rpc t ?link ~req_bytes ~resp_bytes f =
-  match link with
-  | None ->
-    send t ~bytes_len:req_bytes;
-    let v = f () in
-    send t ~bytes_len:resp_bytes;
-    Some v
-  | Some link ->
-    if not (try_send t ~link ~bytes_len:req_bytes ()) then None
-    else begin
-      let v = f () in
-      if try_send t ~link ~bytes_len:resp_bytes () then Some v else None
-    end
 
 let bytes_sent t = t.bytes

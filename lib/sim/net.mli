@@ -11,11 +11,6 @@ val create : ?rtt:float -> ?bandwidth:float -> ?faults:Faults.t -> unit -> t
     [bandwidth] in bytes/second (default 1 Gbps = 125e6); [faults]
     defaults to {!Faults.none} (nothing ever dropped or delayed). *)
 
-val faults_of : t -> Faults.t
-
-val one_way : t -> bytes_len:int -> float
-(** Latency of a one-way message of the given size. *)
-
 val send : t -> bytes_len:int -> unit
 (** Suspend the calling process for the one-way latency (fault-free path:
     control messages that the model treats as reliable). *)
@@ -29,14 +24,6 @@ val try_send :
     the hook through which RPC layers annotate the affected trace span
     (this module sits below the tracing stack and cannot emit events
     itself). *)
-
-val rpc :
-  t -> ?link:int -> req_bytes:int -> resp_bytes:int -> (unit -> 'a) ->
-  'a option
-(** [rpc net ~req_bytes ~resp_bytes f] models request transfer, server work
-    [f ()], and response transfer.  With [link], both transfers consult the
-    fault layer and [None] means the request or response was lost (note the
-    server work still ran when only the response is lost). *)
 
 val bytes_sent : t -> int
 (** Total bytes accounted so far (for network-cost reporting). *)

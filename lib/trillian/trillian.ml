@@ -5,14 +5,12 @@ module Smt = Mtree.Smt
 
 type config = {
   workers : int;
-  cost : Cost.t;
   sequence_interval : float;
   backend_delay : float;
 }
 
 let default_config =
   { workers = 8;
-    cost = Cost.default;
     sequence_interval = 0.05;
     (* Each Trillian operation runs several statements against an
        out-of-process MySQL instance, serialized by the storage layer's
@@ -51,7 +49,6 @@ let create cfg =
 let alive _ = true
 let workers t = t.worker_pool
 let backend t = t.backend
-let cost t = t.cfg.cost
 let backend_delay t = t.cfg.backend_delay
 
 let note_phase t phase v =

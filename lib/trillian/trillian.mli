@@ -17,7 +17,6 @@ module Kv = Txnkit.Kv
 
 type config = {
   workers : int;
-  cost : Cost.t;
   sequence_interval : float; (** map-update batching period *)
   backend_delay : float;     (** cross-process MySQL cost per operation *)
 }
@@ -30,7 +29,6 @@ val create : config -> t
 
 val alive : t -> bool
 val workers : t -> Sim.Resource.t
-val cost : t -> Cost.t
 
 val backend : t -> Sim.Resource.t
 (** The out-of-process MySQL instance: capacity 1; callers hold it for

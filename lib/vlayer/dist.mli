@@ -1,74 +1,33 @@
-(** The shared distributed layer for the reimplemented baselines.
+(** The one distributed layer under GlassDB, QLDB* and LedgerDB*.
 
-    The paper implements QLDB*, LedgerDB* and GlassDB "on top of the same
-    distributed layer ... the same 2PC implementation" so that performance
-    differences come from the authenticated-storage designs alone.  This
-    functor is that layer: hash partitioning, an RPC fabric with measured
-    service-time charging, and a client-coordinated two-phase commit with
-    OCC validation at each shard. *)
+    The paper implements all three systems "on top of the same distributed
+    layer ... the same 2PC implementation" so that performance differences
+    come from the authenticated-storage designs alone.  This functor is
+    that layer: hash partitioning, an RPC fabric with measured service-time
+    charging, and a client-coordinated two-phase commit with OCC validation
+    at each shard.
+
+    Every RPC has a per-attempt timeout with bounded exponential-backoff
+    retries; errors are the shared typed {!Glassdb_util.Error.t}, and
+    retry/abort policy dispatches on the constructor.  Cleanup of 2PC
+    prepare state is unconditional: every abort path runs a (retried)
+    abort round so half-prepared shards do not leak OCC locks. *)
 
 module Kv = Txnkit.Kv
 
-module type NODE = sig
-  type t
+exception Abort of Glassdb_util.Error.t
+(** Raised inside a transaction body by failed reads (node down, timeout
+    after retries); {!Make.Client.execute} turns it into [Error _] after
+    the unconditional abort round.  One exception for every system. *)
 
-  val shard_id : t -> int
-  val alive : t -> bool
-  val workers : t -> Sim.Resource.t
-  val disk : t -> Sim.Resource.t
-  val cost : t -> Cost.t
-  val note_phase : t -> string -> float -> unit
+val charged : disk:Sim.Resource.t -> (unit -> 'a) -> 'a * float
+(** Run a server-side thunk and charge its measured work through
+    {!Cost.default}: CPU time is slept inline, IO time while holding the
+    node's capacity-1 [disk], so storage traffic from transactions,
+    background persisters and proof generation contends for one device.
+    Returns the value and the simulated time it took. *)
 
-  val commit_lock : t -> Sim.Resource.t option
-  (** When set, commit handlers serialize on this resource — QLDB*'s
-      whole-tree lock during its synchronous Merkle update. *)
+module type NODE = Dist_intf.NODE
+module type S = Dist_intf.S
 
-  val prepare : t -> rw:Kv.rw_set -> Kv.signed_txn -> Txnkit.Occ.verdict
-  (** [rw] is the shard-local slice; the signed transaction covers the whole
-      read/write set (signed once by the client). *)
-
-  val commit : t -> Kv.txn_id -> unit
-  val abort : t -> Kv.txn_id -> unit
-  val read : t -> Kv.key -> (Kv.value * Kv.version) option
-end
-
-module Make (N : NODE) : sig
-  type t
-
-  val create :
-    ?rtt:float -> ?bandwidth:float -> ?rpc_timeout:float ->
-    ?faults:Faults.t -> N.t array -> t
-
-  val shards : t -> int
-  val node : t -> int -> N.t
-  val nodes : t -> N.t array
-  val shard_of_key : t -> Kv.key -> int
-  val rpc_timeout : t -> float
-
-  val call :
-    t -> ?phase:string * int -> ?lock:Sim.Resource.t -> shard:int ->
-    req_bytes:int -> resp_bytes:('a -> int) -> (N.t -> 'a) ->
-    ('a, Glassdb_util.Error.t) result
-  (** Typed failures, as in [Cluster.call]: [Node_down] for a crashed
-      shard, [Timeout] for a dropped transfer; either way the caller has
-      slept out the full timeout. *)
-
-  module Client : sig
-    type c
-    type handle
-
-    exception Abort of Glassdb_util.Error.t
-
-    val create : t -> id:int -> sk:string -> c
-    val id : c -> int
-    val cluster : c -> t
-
-    val execute :
-      c -> (handle -> 'a) -> ('a * Kv.txn_id, Glassdb_util.Error.t) result
-    (** Read phase runs inside the body via {!get}/{!put}; the commit point
-        runs prepare/commit (or abort) rounds against every shard touched. *)
-
-    val get : handle -> Kv.key -> Kv.value option
-    val put : handle -> Kv.key -> Kv.value -> unit
-  end
-end
+module Make (N : NODE) : S with type node = N.t and type receipt = N.receipt

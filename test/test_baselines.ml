@@ -10,7 +10,7 @@ let in_sim f =
 (* --- QLDB* --- *)
 
 let qldb_cluster ?(shards = 2) () =
-  Qldb.Cluster.create
+  Qldb.Cluster.create ~rpc_timeout:1.0 ~rpc_retries:2 ~retry_backoff:0.01
     (Array.init shards (fun i -> Qldb.Node.create Qldb.default_config ~shard_id:i))
 
 let test_qldb_txn_and_read () =
@@ -250,6 +250,37 @@ let test_dist_conflict_between_clients () =
       Sim.Ivar.read done_;
       Alcotest.(check int) "one winner" 1 !oks)
 
+let test_dist_baseline_retries_through_crash () =
+  (* The baselines share GlassDB's retry policy: a read that hits a crashed
+     shard is retried with backoff and succeeds once the shard is back, and
+     a read that never succeeds surfaces the one shared [Abort]. *)
+  in_sim (fun () ->
+      let cl =
+        Qldb.Cluster.create ~rpc_timeout:0.3 ~rpc_retries:2 ~retry_backoff:0.01
+          [| Qldb.Node.create Qldb.default_config ~shard_id:0 |]
+      in
+      let c = Qldb.Cluster.Client.create cl ~id:1 ~sk:"k" in
+      ignore (Qldb.Cluster.Client.execute c (fun h -> Qldb.Cluster.Client.put h "r" "1"));
+      let nd = Qldb.Cluster.node cl 0 in
+      Qldb.Node.crash nd;
+      Sim.spawn (fun () ->
+          Sim.sleep 0.5;
+          Qldb.Node.recover nd);
+      (match Qldb.Cluster.Client.execute c (fun h -> Qldb.Cluster.Client.get h "r") with
+       | Ok (v, _) -> Alcotest.(check (option string)) "read after retry" (Some "1") v
+       | Error e -> Alcotest.failf "read: %s" (Glassdb_util.Error.to_string e));
+      Alcotest.(check int) "two retries" 2 (Qldb.Cluster.Client.retry_count c);
+      Qldb.Node.crash nd;
+      match
+        Qldb.Cluster.Client.execute c (fun h ->
+            match Qldb.Cluster.Client.get h "r" with
+            | _ -> false
+            | exception Glassdb.Client.Abort (Glassdb_util.Error.Node_down 0) ->
+              true)
+      with
+      | Ok (raised, _) -> Alcotest.(check bool) "shared Abort raised" true raised
+      | Error e -> Alcotest.failf "execute: %s" (Glassdb_util.Error.to_string e))
+
 let () =
   Alcotest.run "baselines"
     [ ("qldb",
@@ -265,4 +296,6 @@ let () =
          Alcotest.test_case "read proof" `Quick test_trillian_read_proof;
          Alcotest.test_case "append-only" `Quick test_trillian_append_only ]);
       ("dist",
-       [ Alcotest.test_case "occ conflict across clients" `Quick test_dist_conflict_between_clients ]) ]
+       [ Alcotest.test_case "occ conflict across clients" `Quick test_dist_conflict_between_clients;
+         Alcotest.test_case "baseline retries through a crash" `Quick
+           test_dist_baseline_retries_through_crash ]) ]

@@ -167,6 +167,54 @@ let test_timeline_crash_dip () =
   let after = rate 6. + rate 7. in
   Alcotest.(check bool) "recovers afterwards" true (after * 2 > before)
 
+(* --- pinned figures for every system on the shared distributed layer --- *)
+
+(* SHA-256 over a result's deterministic fields (floats in exact hex), so a
+   refactor of the RPC fabric or the 2PC coordinator that moves any
+   simulated-clock figure, byte count or phase statistic shows up here. *)
+let result_digest (r : Driver.result) =
+  let b = Buffer.create 512 in
+  let stats name s =
+    Printf.bprintf b "%s:%d,%h,%h,%h,%h,%h;" name (Glassdb_util.Stats.count s)
+      (Glassdb_util.Stats.total s) (Glassdb_util.Stats.min_value s)
+      (Glassdb_util.Stats.max_value s)
+      (Glassdb_util.Stats.percentile s 0.5)
+      (Glassdb_util.Stats.percentile s 0.99)
+  in
+  Printf.bprintf b "%h,%d,%d,%d,%d,%d,%d,%d;" r.Driver.r_throughput
+    r.Driver.r_commits r.Driver.r_aborts r.Driver.r_verifications
+    r.Driver.r_verified_keys r.Driver.r_storage_bytes r.Driver.r_blocks
+    r.Driver.r_failures;
+  stats "latency" r.Driver.r_latency;
+  stats "proof_bytes" r.Driver.r_proof_bytes;
+  stats "verify_latency" r.Driver.r_verify_latency;
+  List.iter (fun (name, s) -> stats name s) r.Driver.r_phase_stats;
+  Glassdb_util.Hex.encode (Glassdb_util.Hash.of_string (Buffer.contents b))
+
+let check_pinned sys ~ycsb ~verified =
+  let y = Driver.run_ycsb (tiny_setup sys) tiny_ycsb in
+  let x =
+    Driver.run_verified (tiny_setup sys) tiny_ycsb ~pick:Ycsb.workload_x
+  in
+  Alcotest.(check string) "ycsb result digest" ycsb (result_digest y);
+  Alcotest.(check string) "workload-X result digest" verified
+    (result_digest x)
+
+let test_pinned_qldb () =
+  check_pinned Adapters.qldb
+    ~ycsb:"c31ff6192cb9ef3634fb54c9187f1ced0b827dff89451d9cfe512790010fe0ab"
+    ~verified:"add7c85cc916b4656e71f447fa5619b544c717f78f094895d8b4f152b408b324"
+
+let test_pinned_ledgerdb () =
+  check_pinned Adapters.ledgerdb
+    ~ycsb:"36f5ea6ee5d4b817775c1363a3c621413bd3e977f20c677d5a339e844d8cb3af"
+    ~verified:"8a12deee5a659e3e6577e0d36e952e18f492bd05279f41531960ad95498cb35d"
+
+let test_pinned_glassdb () =
+  check_pinned Adapters.glassdb
+    ~ycsb:"d410fe5bfcae435dcf2e922add7f2f6b634944c7635c5c0e9cbf67ae2732c1ac"
+    ~verified:"2cfc2d73d6a781180a474b5d73fa94f90b59865bdcd6a39c9fee7a7bd61e01cc"
+
 (* --- TPC-C --- *)
 
 let tiny_tpcc =
@@ -324,6 +372,10 @@ let () =
          Alcotest.test_case "workload-X verified" `Quick test_verified_workload_x;
          Alcotest.test_case "workload-X on trillian" `Quick test_verified_workload_trillian;
          Alcotest.test_case "crash timeline" `Quick test_timeline_crash_dip ]);
+      ("pinned",
+       [ Alcotest.test_case "qldb" `Quick test_pinned_qldb;
+         Alcotest.test_case "ledgerdb" `Quick test_pinned_ledgerdb;
+         Alcotest.test_case "glassdb" `Quick test_pinned_glassdb ]);
       ("tpcc",
        [ Alcotest.test_case "load + all kinds" `Quick test_tpcc_load_and_each_kind;
          Alcotest.test_case "new-order consistency" `Quick test_tpcc_new_order_consistency;

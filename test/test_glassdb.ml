@@ -133,9 +133,6 @@ let test_ledger_batch_proof_acceptance () =
        indep_bytes)
     true
     (batch_bytes < indep_bytes);
-  (* And the legacy batched wire encoding also dedups. *)
-  Alcotest.(check bool) "merged legacy encoding dedups" true
-    (Ledger.batch_size_bytes proofs < indep_bytes);
   (* Every key resolves to its value through the batch proof. *)
   List.iter
     (fun k ->
@@ -370,11 +367,14 @@ let test_proof_codecs_match_legacy () =
 
 (* --- Cluster transactions --- *)
 
-let with_cluster ?(shards = 4) ?(sync_persist = false) ?faults f =
+let with_cluster ?(shards = 4) ?(sync_persist = false) ?rpc_timeout
+    ?rpc_retries ?retry_backoff ?verify_delay ?faults f =
   let out = ref None in
   Sim.run (fun () ->
       let cl =
-        Cluster.create (Glassdb.Config.make ~shards ~sync_persist ?faults ())
+        Cluster.create
+          (Glassdb.Config.make ~shards ~sync_persist ?rpc_timeout ?rpc_retries
+             ?retry_backoff ?verify_delay ?faults ())
       in
       Cluster.start cl;
       out := Some (f cl);
@@ -459,9 +459,7 @@ let test_txn_conflict_aborts () =
 
 let test_deferred_verification_roundtrip () =
   with_cluster (fun cl ->
-      let c =
-        Client.create ~rpc_timeout:1.0 ~verify_delay:0.1 cl ~id:1 ~sk:"k1"
-      in
+      let c = Client.create cl ~id:1 ~sk:"k1" in
       let results = ref [] in
       for i = 0 to 19 do
         match Client.verified_put c (Printf.sprintf "vk%d" i) (string_of_int i) with
@@ -511,8 +509,8 @@ let test_verified_get_latest_and_at () =
       | Error e -> Alcotest.failf "verified get_at failed: %s" (Error.to_string e))
 
 let test_sync_persist_mode () =
-  with_cluster ~sync_persist:true (fun cl ->
-      let c = Client.create ~rpc_timeout:1.0 ~verify_delay:0.0 cl ~id:1 ~sk:"k" in
+  with_cluster ~sync_persist:true ~verify_delay:0.0 (fun cl ->
+      let c = Client.create cl ~id:1 ~sk:"k" in
       (match Client.verified_put c "s" "1" with
        | Ok p -> Alcotest.(check int) "block 0 promised" 0 p.Node.pr_block
        | Error e -> Alcotest.failf "put failed: %s" (Error.to_string e));
@@ -572,10 +570,8 @@ let test_auditor_detects_unauthorized_txn () =
       Alcotest.(check bool) "violation recorded" true (Auditor.failures a > 0))
 
 let test_crash_aborts_then_recovery_preserves_data () =
-  with_cluster ~shards:2 (fun cl ->
-      let c =
-        Client.create ~rpc_timeout:0.05 ~verify_delay:0.1 cl ~id:1 ~sk:"k"
-      in
+  with_cluster ~shards:2 ~rpc_timeout:0.05 (fun cl ->
+      let c = Client.create cl ~id:1 ~sk:"k" in
       ignore (Client.execute c (fun h -> Client.put h "r0" "before"));
       Sim.sleep 0.2;
       (* Find the shard of a key and crash it. *)
@@ -670,11 +666,9 @@ let test_wal_replay_idempotent () =
 (* --- 2PC abort-path cleanup under injected faults --- *)
 
 let test_mid_2pc_crash_releases_prepare_locks () =
-  with_cluster ~shards:2 (fun cl ->
-      let c =
-        Client.create ~rpc_timeout:0.05 ~rpc_retries:1 ~retry_backoff:0.01
-          cl ~id:1 ~sk:"k"
-      in
+  with_cluster ~shards:2 ~rpc_timeout:0.05 ~rpc_retries:1
+    ~retry_backoff:0.01 (fun cl ->
+      let c = Client.create cl ~id:1 ~sk:"k" in
       let key_on shard =
         let rec go i =
           let k = Printf.sprintf "mp%d" i in
@@ -706,11 +700,9 @@ let test_partition_heals_and_retries_succeed () =
   let faults = Faults.create ~seed:5 () in
   Faults.schedule faults ~at:0.01 (Faults.Partition 0);
   Faults.schedule faults ~at:0.30 (Faults.Heal 0);
-  with_cluster ~shards:1 ~faults (fun cl ->
-      let c =
-        Client.create ~rpc_timeout:0.1 ~rpc_retries:5 ~retry_backoff:0.05
-          cl ~id:1 ~sk:"k"
-      in
+  with_cluster ~shards:1 ~rpc_timeout:0.1 ~rpc_retries:5 ~retry_backoff:0.05
+    ~faults (fun cl ->
+      let c = Client.create cl ~id:1 ~sk:"k" in
       Sim.sleep 0.05 (* land inside the partition window *);
       match Client.execute c (fun h -> Client.put h "p" "1") with
       | Ok _ ->

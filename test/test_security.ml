@@ -135,7 +135,12 @@ let test_ledger_batch_proof_dedup () =
   let separate =
     List.fold_left (fun a p -> a + Ledger.proof_size_bytes p) 0 proofs
   in
-  let batched = Ledger.batch_size_bytes proofs in
+  let batched =
+    Ledger.batch_proof_size_bytes
+      (Ledger.prove_inclusion_batch !l
+         (List.init 10 (fun i -> Printf.sprintf "key-%03d" i))
+         ~block:4)
+  in
   Alcotest.(check bool) "batching shares chunks" true (batched < separate / 2)
 
 (* --- verifiable scans on the ledger --- *)
@@ -183,11 +188,12 @@ let test_ledger_verified_scan () =
 (* --- auditor forensics --- *)
 
 let with_cluster ?(shards = 2) ?(batching = true) ?(sync_persist = false)
-    ?faults f =
+    ?rpc_timeout ?rpc_retries ?retry_backoff ?verify_delay ?faults f =
   in_sim (fun () ->
       let cl =
         Cluster.create
-          (Glassdb.Config.make ~shards ~batching ~sync_persist ?faults ())
+          (Glassdb.Config.make ~shards ~batching ~sync_persist ?rpc_timeout
+             ?rpc_retries ?retry_backoff ?verify_delay ?faults ())
       in
       Cluster.start cl;
       let v = f cl in
@@ -258,12 +264,10 @@ let test_gossip_fork_detected_under_packet_loss () =
   (* A user restoring a forked digest must see [Proof_invalid] from gossip
      even when the lossy link forces proof fetches to retry. *)
   let faults = Faults.create ~drop:0.05 ~seed:9 () in
-  with_cluster ~shards:1 ~faults (fun cl ->
-      let mk id sk =
-        Client.create ~rpc_timeout:0.05 ~rpc_retries:6 ~retry_backoff:0.01 cl
-          ~id ~sk
-      in
-      let a = mk 1 "k1" and b = mk 2 "k2" in
+  with_cluster ~shards:1 ~rpc_timeout:0.05 ~rpc_retries:6 ~retry_backoff:0.01
+    ~faults (fun cl ->
+      let a = Client.create cl ~id:1 ~sk:"k1"
+      and b = Client.create cl ~id:2 ~sk:"k2" in
       for i = 0 to 9 do
         ignore
           (Client.execute a (fun h -> Client.put h "gf" (string_of_int i)))
@@ -308,11 +312,8 @@ let test_checkpoint_truncates_wal () =
 (* --- promises under every persistence mode --- *)
 
 let promise_roundtrip ?batching ?sync_persist () =
-  with_cluster ?batching ?sync_persist (fun cl ->
-      let c =
-        Client.create ~rpc_timeout:1.0 ~verify_delay:0.05
-          cl ~id:1 ~sk:"k"
-      in
+  with_cluster ?batching ?sync_persist ~verify_delay:0.05 (fun cl ->
+      let c = Client.create cl ~id:1 ~sk:"k" in
       (* Write the same keys repeatedly so multi-version prediction is
          exercised. *)
       for i = 0 to 29 do
@@ -338,16 +339,14 @@ let test_promises_batched_mode () = promise_roundtrip ()
    keys over a 4-key space; the shard crashes and recovers (before its
    persister wakes) ahead of a seed-chosen commit. *)
 let crash_promise_roundtrip ~seed ~batching ~keys_per_txn =
-  with_cluster ~shards:1 ~batching (fun cl ->
+  with_cluster ~shards:1 ~batching ~verify_delay:0.05 (fun cl ->
       let ctx msg =
         Printf.sprintf "seed %d batching %b keys %d: %s" seed batching
           keys_per_txn msg
       in
       let rng = Random.State.make [| 0x5eed; seed |] in
       let crash_at = 2 + Random.State.int rng 7 in
-      let c =
-        Client.create ~rpc_timeout:1.0 ~verify_delay:0.05 cl ~id:1 ~sk:"k"
-      in
+      let c = Client.create cl ~id:1 ~sk:"k" in
       let n_txns = 10 in
       for i = 0 to n_txns - 1 do
         if i = crash_at then begin
@@ -391,11 +390,8 @@ let test_no_ba_predictions_with_readonly_participants () =
   (* Regression: a cross-shard transaction whose slice on some shard is
      read-only must not consume a block position there (it never produces
      a block), or every later promise on that shard lands one block late. *)
-  with_cluster ~shards:2 ~batching:false (fun cl ->
-      let c =
-        Client.create ~rpc_timeout:1.0 ~verify_delay:0.02
-          cl ~id:1 ~sk:"k"
-      in
+  with_cluster ~shards:2 ~batching:false ~verify_delay:0.02 (fun cl ->
+      let c = Client.create cl ~id:1 ~sk:"k" in
       (* Find keys on both shards. *)
       let key_on shard =
         let rec go i =
@@ -508,11 +504,8 @@ let prop_recovery_preserves_committed_writes =
     ~count:10
     QCheck.(int_range 1 30)
     (fun n ->
-      with_cluster ~shards:1 (fun cl ->
-          let c =
-            Client.create ~rpc_timeout:0.05 ~verify_delay:0.1
-              cl ~id:1 ~sk:"k"
-          in
+      with_cluster ~shards:1 ~rpc_timeout:0.05 (fun cl ->
+          let c = Client.create cl ~id:1 ~sk:"k" in
           let expected = Hashtbl.create 16 in
           for i = 0 to n - 1 do
             let k = Printf.sprintf "r%d" (i mod 7) in
@@ -538,18 +531,15 @@ let prop_recovery_preserves_committed_writes =
 (* --- dist-layer timeout handling --- *)
 
 let test_dead_shard_read_times_out_not_hangs () =
-  with_cluster ~shards:2 (fun cl ->
-      let c =
-        Client.create ~rpc_timeout:0.05 ~verify_delay:0.1
-          cl ~id:1 ~sk:"k"
-      in
+  with_cluster ~shards:2 ~rpc_timeout:0.05 (fun cl ->
+      let c = Client.create cl ~id:1 ~sk:"k" in
       ignore (Client.execute c (fun h -> Client.put h "a" "1"));
       Cluster.crash_node cl (Cluster.shard_of_key cl "a");
       let t0 = Sim.now () in
       (match Client.execute c (fun h -> Client.get h "a") with
        | Error _ -> ()
        | Ok _ -> Alcotest.fail "read from dead shard succeeded");
-      (* Bounded by the cluster RPC timeout (1 s default), not hanging. *)
+      (* Bounded by the 50 ms RPC timeout and its retries, not hanging. *)
       Alcotest.(check bool) "bounded by timeout" true (Sim.now () -. t0 < 2.5))
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests

@@ -175,7 +175,9 @@ let test_net_latency () =
   let t = ref 0. in
   Sim.run (fun () ->
       let net = Net.create ~rtt:0.001 ~bandwidth:1000. () in
-      ignore (Net.rpc net ~req_bytes:100 ~resp_bytes:200 (fun () -> Sim.sleep 0.5));
+      Net.send net ~bytes_len:100;
+      Sim.sleep 0.5;
+      Net.send net ~bytes_len:200;
       t := Sim.now ());
   (* 0.0005 + 0.1 (req) + 0.5 (work) + 0.0005 + 0.2 (resp) = 0.801 *)
   Alcotest.(check (float 1e-9)) "rpc latency" 0.801 !t;
