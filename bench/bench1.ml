@@ -16,9 +16,12 @@ open Glassdb_util
 open Benchkit
 module Ledger = Glassdb.Ledger
 
-(* --- tiny JSON emitter (no external dependency) --- *)
+(** JSON goes through {!Json}.  Its type, [parse] and [field] are
+    re-exported here only because perfbench's self-test, which is frozen
+    with the benchmark, calls [Bench1.parse], [Bench1.field], [Bench1.Str]
+    and [Bench1.Arr]. *)
 
-type json =
+type json = Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -26,171 +29,13 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
-let rec emit buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (string_of_bool b)
-  | Num f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string buf (Printf.sprintf "%.0f" f)
-    else if Float.is_finite f then
-      Buffer.add_string buf (Printf.sprintf "%.6g" f)
-    else Buffer.add_string buf "null"
-  | Str s ->
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"'
-  | Arr l ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        emit buf v)
-      l;
-    Buffer.add_char buf ']'
-  | Obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        emit buf (Str k);
-        Buffer.add_char buf ':';
-        emit buf v)
-      fields;
-    Buffer.add_char buf '}'
-
-let to_string j =
-  let buf = Buffer.create 4096 in
-  emit buf j;
-  Buffer.contents buf
-
-(* --- tiny JSON parser (for the smoke-test schema check) --- *)
-
-exception Bad of string
-
-let parse s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else raise (Bad "eof") in
-  let next () = let c = peek () in incr pos; c in
-  let rec skip_ws () =
-    if !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    then (incr pos; skip_ws ())
-  in
-  let expect c =
-    if next () <> c then raise (Bad (Printf.sprintf "expected %c" c))
-  in
-  let literal word v =
-    String.iter (fun c -> if next () <> c then raise (Bad word)) word;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents buf
-      | '\\' ->
-        (match next () with
-         | '"' -> Buffer.add_char buf '"'
-         | '\\' -> Buffer.add_char buf '\\'
-         | '/' -> Buffer.add_char buf '/'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'r' -> Buffer.add_char buf '\r'
-         | 'b' -> Buffer.add_char buf '\b'
-         | 'f' -> Buffer.add_char buf '\012'
-         | 'u' ->
-           let hex = String.init 4 (fun _ -> next ()) in
-           let code = int_of_string ("0x" ^ hex) in
-           if code < 128 then Buffer.add_char buf (Char.chr code)
-           else Buffer.add_char buf '?'
-         | c -> raise (Bad (Printf.sprintf "escape \\%c" c)));
-        go ()
-      | c -> Buffer.add_char buf c; go ()
-    in
-    go ()
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      expect '{';
-      skip_ws ();
-      if peek () = '}' then (incr pos; Obj [])
-      else begin
-        let rec fields acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match next () with
-          | ',' -> fields ((k, v) :: acc)
-          | '}' -> Obj (List.rev ((k, v) :: acc))
-          | c -> raise (Bad (Printf.sprintf "in object: %c" c))
-        in
-        fields []
-      end
-    | '[' ->
-      expect '[';
-      skip_ws ();
-      if peek () = ']' then (incr pos; Arr [])
-      else begin
-        let rec elems acc =
-          let v = parse_value () in
-          skip_ws ();
-          match next () with
-          | ',' -> elems (v :: acc)
-          | ']' -> Arr (List.rev (v :: acc))
-          | c -> raise (Bad (Printf.sprintf "in array: %c" c))
-        in
-        elems []
-      end
-    | '"' -> Str (parse_string ())
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | 'n' -> literal "null" Null
-    | _ ->
-      let start = !pos in
-      let num_char c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && num_char s.[!pos] do incr pos done;
-      if !pos = start then raise (Bad "value");
-      (match float_of_string_opt (String.sub s start (!pos - start)) with
-       | Some f -> Num f
-       | None -> raise (Bad "number"))
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then raise (Bad "trailing bytes");
-  v
+let parse = Json.parse
+let field = Json.field
 
 (* --- the measurements --- *)
 
 (* v2: adds the "metrics" section (Obs registry snapshot of the macro run). *)
 let schema_id = "glassdb.bench1/v2"
-
-let rec of_export (j : Obs.Export.json) =
-  match j with
-  | Obs.Export.Null -> Null
-  | Obs.Export.Bool b -> Bool b
-  | Obs.Export.Num f -> Num f
-  | Obs.Export.Str s -> Str s
-  | Obs.Export.Arr l -> Arr (List.map of_export l)
-  | Obs.Export.Obj l -> Obj (List.map (fun (k, v) -> (k, of_export v)) l)
 
 let key_of i = Printf.sprintf "key-%06d" i
 
@@ -347,10 +192,8 @@ let run ~quick () =
   let macro = macro_run ~quick in
   (* The driver resets the Obs registry at run start, so this snapshot
      covers exactly the macro run above. *)
-  let metrics =
-    List.map (fun (k, v) -> (k, of_export v)) (Obs.Export.metrics_fields ())
-  in
-  to_string
+  let metrics = Obs.Export.metrics_fields () in
+  Json.to_string
     (Obj
        [ ("schema", Str schema_id);
          ("profile", Str (if quick then "smoke" else "full"));
@@ -360,26 +203,22 @@ let run ~quick () =
 
 (* --- schema validation (used by the bench-smoke alias) --- *)
 
-let field name = function
-  | Obj fields -> List.assoc_opt name fields
-  | _ -> None
-
 let require_num obj name =
   match field name obj with
   | Some (Num _) -> ()
-  | _ -> raise (Bad (Printf.sprintf "missing numeric field %S" name))
+  | _ -> raise (Json.Bad (Printf.sprintf "missing numeric field %S" name))
 
 (* Shape check for an Obs metrics snapshot (the bench "metrics" section and
-   the standalone file --metrics emits).  Raises {!Bad}.  Also used by the
-   trace-smoke alias. *)
+   the standalone file --metrics emits).  Raises {!Json.Bad}.  Also used by
+   the trace-smoke alias. *)
 let validate_metrics metrics =
   (match field "schema" metrics with
    | Some (Str "glassdb.metrics/v1") -> ()
-   | _ -> raise (Bad "metrics.schema"));
+   | _ -> raise (Json.Bad "metrics.schema"));
   let section name =
     match field name metrics with
     | Some (Obj fields) -> fields
-    | _ -> raise (Bad (Printf.sprintf "metrics.%s must be an object" name))
+    | _ -> raise (Json.Bad (Printf.sprintf "metrics.%s must be an object" name))
   in
   let counters = section "counters" in
   if
@@ -387,7 +226,7 @@ let validate_metrics metrics =
       (List.exists
          (fun (_, v) -> match v with Num x -> x > 0. | _ -> false)
          counters)
-  then raise (Bad "metrics.counters: no nonzero counter");
+  then raise (Json.Bad "metrics.counters: no nonzero counter");
   let gauges = section "gauges" in
   if
     not
@@ -395,7 +234,7 @@ let validate_metrics metrics =
          (fun (_, g) ->
            match field "samples" g with Some (Arr (_ :: _)) -> true | _ -> false)
          gauges)
-  then raise (Bad "metrics.gauges: no gauge was ever sampled");
+  then raise (Json.Bad "metrics.gauges: no gauge was ever sampled");
   let histograms = section "histograms" in
   if
     not
@@ -403,33 +242,33 @@ let validate_metrics metrics =
          (fun (_, h) ->
            match field "count" h with Some (Num c) -> c > 0. | _ -> false)
          histograms)
-  then raise (Bad "metrics.histograms: no histogram observations");
+  then raise (Json.Bad "metrics.histograms: no histogram observations");
   ignore (section "attribution")
 
 let validate text =
   match parse text with
-  | exception Bad m -> Error ("malformed JSON: " ^ m)
+  | exception Json.Bad m -> Error ("malformed JSON: " ^ m)
   | j ->
     (try
        (match field "schema" j with
         | Some (Str s) when s = schema_id -> ()
-        | _ -> raise (Bad "schema tag"));
+        | _ -> raise (Json.Bad "schema tag"));
        (match field "profile" j with
         | Some (Str _) -> ()
-        | _ -> raise (Bad "profile"));
+        | _ -> raise (Json.Bad "profile"));
        let micro =
          match field "micro" j with
          | Some (Arr (_ :: _ as rows)) -> rows
-         | _ -> raise (Bad "micro must be a non-empty array")
+         | _ -> raise (Json.Bad "micro must be a non-empty array")
        in
        List.iter
          (fun row ->
            (match field "dist" row with
             | Some (Str ("uniform" | "zipf")) -> ()
-            | _ -> raise (Bad "micro.dist"));
+            | _ -> raise (Json.Bad "micro.dist"));
            (match field "verified" row with
             | Some (Bool true) -> ()
-            | _ -> raise (Bad "micro row failed verification"));
+            | _ -> raise (Json.Bad "micro row failed verification"));
            List.iter (require_num row)
              [ "batch_size"; "proof_bytes_batched"; "proof_bytes_independent";
                "proof_bytes_per_key_batched"; "proof_bytes_per_key_independent";
@@ -440,7 +279,7 @@ let validate text =
        let macro =
          match field "macro" j with
          | Some (Obj _ as m) -> m
-         | _ -> raise (Bad "macro must be an object")
+         | _ -> raise (Json.Bad "macro must be an object")
        in
        List.iter (require_num macro)
          [ "ops_per_sec"; "verifications"; "verified_keys";
@@ -448,10 +287,10 @@ let validate text =
            "verify_latency_p50_s"; "verify_latency_p99_s"; "failures" ];
        (match field "failures" macro with
         | Some (Num 0.) -> ()
-        | _ -> raise (Bad "macro.failures must be 0"));
+        | _ -> raise (Json.Bad "macro.failures must be 0"));
        (match field "metrics" j with
         | Some (Obj _ as m) -> validate_metrics m
-        | _ -> raise (Bad "metrics must be an object"));
+        | _ -> raise (Json.Bad "metrics must be an object"));
        (* The tentpole claim, asserted on the data itself: from batch 2 up,
           the deduplicated proof is strictly smaller than N independent
           ones.  A singleton batch pays a few bytes of item framing over a
@@ -462,13 +301,13 @@ let validate text =
                   field "proof_bytes_independent" row) with
            | Some (Num b), Some (Num bb), Some (Num bi) ->
              if b >= 2. && bb >= bi then
-               raise (Bad "batched proof not smaller than independent");
+               raise (Json.Bad "batched proof not smaller than independent");
              if b < 2. && bb > bi *. 1.25 then
-               raise (Bad "singleton batch overhead too large")
-           | _ -> raise (Bad "micro row fields"))
+               raise (Json.Bad "singleton batch overhead too large")
+           | _ -> raise (Json.Bad "micro row fields"))
          micro;
        Ok ()
-     with Bad m -> Error m)
+     with Json.Bad m -> Error m)
 
 let write_file path text =
   let oc = open_out path in

@@ -19,8 +19,7 @@ module Config = Glassdb.Config
 module Cluster = Glassdb.Cluster
 module Client = Glassdb.Client
 
-(* Reuse bench1's dependency-free JSON emitter/parser. *)
-open Bench1
+open Json
 
 (* v3: drops v2's "prof" section (the pool/lock profile) and its sampled
    glassdb.prof.* gauges.  v1 was the first version. *)
@@ -196,9 +195,7 @@ let raft_run p =
 let run ~quick () =
   let p = profile ~quick in
   let o = primary_run p in
-  let metrics =
-    List.map (fun (k, v) -> (k, of_export v)) (Obs.Export.metrics_fields ())
-  in
+  let metrics = Obs.Export.metrics_fields () in
   let r = raft_run p in
   let crashes, drops, delays = o.o_fault_counters in
   let wall = Benchkit.Wallclock.now_s () in
@@ -270,7 +267,7 @@ let validate text =
        in
        List.iter
          (fun row ->
-           List.iter (require_num row) [ "t"; "commits"; "aborts" ])
+           List.iter (Bench1.require_num row) [ "t"; "commits"; "aborts" ])
          timeline;
        (match field "verification_failures" j with
         | Some (Num 0.) -> ()
@@ -323,7 +320,7 @@ let validate text =
                (Bad "raft.commits_during_crash: group stalled with leader down"))
         | None -> raise (Bad "raft"));
        (match field "metrics" j with
-        | Some (Obj _ as m) -> validate_metrics m
+        | Some (Obj _ as m) -> Bench1.validate_metrics m
         | _ -> raise (Bad "metrics must be an object"));
        Ok ()
      with Bad m -> Stdlib.Error m)
@@ -343,5 +340,5 @@ let run_and_write ~quick ~path () =
    | Ok () -> ()
    | Stdlib.Error m ->
      failwith ("recovery: generated JSON failed validation: " ^ m));
-  write_file path text;
+  Bench1.write_file path text;
   Printf.printf "recovery: wrote %s (%d bytes)\n%!" path (String.length text)

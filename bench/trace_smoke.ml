@@ -43,7 +43,7 @@ let run_workload () =
 
 let () =
   run_workload ();
-  let open Bench1 in
+  let open Glassdb_util.Json in
   (* --- trace shape --- *)
   let trace =
     match parse (Obs.Export.trace_json ()) with
@@ -91,6 +91,7 @@ let () =
   (match parse (Obs.Export.metrics_json ()) with
    | exception Bad m -> fail ("metrics JSON malformed: " ^ m)
    | j ->
-     (try validate_metrics j with Bad m -> fail ("metrics schema: " ^ m)));
+     (try Bench1.validate_metrics j
+      with Bad m -> fail ("metrics schema: " ^ m)));
   Printf.printf "trace-smoke: %d trace events, trace + metrics schema OK\n"
     (List.length events)

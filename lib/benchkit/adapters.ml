@@ -140,17 +140,8 @@ let make_qldb p =
         let d = proof.Qldb.Node.cp_digest in
         let value =
           (* The claimed value is inside the entry; re-derive it. *)
-          match
-            Codec.of_string
-              (fun r ->
-                let _tid = Codec.read_string r in
-                Codec.read_list r (fun r ->
-                    let k = Codec.read_string r in
-                    let v = Codec.read_string r in
-                    (k, v)))
-              proof.Qldb.Node.cp_entry
-          with
-          | writes -> List.assoc_opt k writes
+          match Kv.decode_commit proof.Qldb.Node.cp_entry with
+          | _, writes -> List.assoc_opt k writes
           | exception _ -> None
         in
         let ok =
@@ -287,17 +278,8 @@ let make_ledgerdb p =
         let value =
           match List.rev proof.Ledgerdb.Node.lp_clues with
           | (_, entry, _) :: _ ->
-            (match
-               Codec.of_string
-                 (fun r ->
-                   let _tid = Codec.read_string r in
-                   Codec.read_list r (fun r ->
-                       let k = Codec.read_string r in
-                       let v = Codec.read_string r in
-                       (k, v)))
-                 entry
-             with
-             | writes -> List.assoc_opt k writes
+            (match Kv.decode_commit entry with
+             | _, writes -> List.assoc_opt k writes
              | exception _ -> None)
           | [] -> None
         in

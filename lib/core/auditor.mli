@@ -27,12 +27,10 @@ type audit_report = {
   ar_latency : float;    (** virtual time spent *)
 }
 
-val audit_shard : t -> shard:int -> audit_report
-(** Catch up with one shard: fetch its digest, verify the append-only
+val audit_all : t -> audit_report list
+(** Catch up with every shard: fetch its digest, verify the append-only
     proof, then re-execute every block between the previous position and
     the head. *)
-
-val audit_all : t -> audit_report list
 
 val digest_of_shard : t -> int -> Ledger.digest
 

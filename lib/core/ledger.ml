@@ -50,9 +50,6 @@ let genesis = { block_no = -1; root = Hash.empty; head = Hash.empty }
 let digest_equal a b =
   Int.equal a.block_no b.block_no && Hash.equal a.root b.root && Hash.equal a.head b.head
 
-let pp_digest fmt d =
-  Format.fprintf fmt "#%d:%s" d.block_no (Hash.short d.root)
-
 type block_write = { wkey : Kv.key; wvalue : Kv.value; wtid : Kv.txn_id }
 
 type t = {

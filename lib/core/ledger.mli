@@ -41,8 +41,6 @@ type header = {
 }
 
 val header_hash : header -> Hash.t
-val encode_header : Buffer.t -> header -> unit
-val decode_header : Codec.reader -> header
 
 type digest = { block_no : int; root : Hash.t; head : Hash.t }
 (** What clients cache and auditors gossip: latest block number, upper-tree
@@ -50,7 +48,6 @@ type digest = { block_no : int; root : Hash.t; head : Hash.t }
 
 val genesis : digest
 val digest_equal : digest -> digest -> bool
-val pp_digest : Format.formatter -> digest -> unit
 
 type block_write = { wkey : Kv.key; wvalue : Kv.value; wtid : Kv.txn_id }
 (** One committed write: the key, its new value, and the transaction that

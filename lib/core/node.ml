@@ -35,7 +35,7 @@ type t = {
   signed : (Kv.txn_id, Kv.signed_txn) Hashtbl.t;
   (* FIFO of committed transactions for per-transaction blocks (no-BA). *)
   txn_blocks : (Kv.txn_id * (Kv.key * Kv.value) list) Queue.t;
-  stats : (string, Stats.t) Hashtbl.t;
+  stats : Stats.table;
   mutable commits : int;
   mutable aborts : int;
   (* Trace context of the earliest commit whose writes are still
@@ -99,7 +99,7 @@ let create cfg ~shard_id =
       is_alive = true;
       signed = Hashtbl.create 256;
       txn_blocks = Queue.create ();
-      stats = Hashtbl.create 8;
+      stats = Stats.table ();
       commits = 0;
       aborts = 0;
       persist_ctx = None;
@@ -118,28 +118,20 @@ let store t = t.node_store
 let ledger_of t = t.ledger
 
 let note_phase t phase v =
-  let s =
-    match Hashtbl.find_opt t.stats phase with
-    | Some s -> s
-    | None ->
-      let s = Stats.create () in
-      Hashtbl.replace t.stats phase s;
-      s
-  in
-  Stats.add s v;
+  Stats.table_add t.stats phase v;
   Obs.Metrics.observe
     (Obs.Metrics.histogram ~name:"glassdb.node.phase_seconds"
        ~labels:(("phase", phase) :: t.labels) ())
     v
 
-let phase_stats t = Det.sorted_bindings ~cmp:String.compare t.stats
+let phase_stats t = Stats.table_bindings t.stats
 
 let commit_count t = t.commits
 let abort_count t = t.aborts
 let block_count t = Ledger.latest_block t.ledger + 1
 
 let reset_stats t =
-  Hashtbl.reset t.stats;
+  Stats.table_reset t.stats;
   t.commits <- 0;
   t.aborts <- 0
 
@@ -152,30 +144,6 @@ let current_version t k =
     (match Ledger.get t.ledger k with
      | Some (_, version, _) -> version
      | None -> -1)
-
-let wal_commit_payload tid writes =
-  Codec.to_string
-    (fun buf () ->
-      Codec.write_string buf tid;
-      Codec.write_list buf
-        (fun b (k, v) ->
-          Codec.write_string b k;
-          Codec.write_string b v)
-        writes)
-    ()
-
-let parse_wal_commit payload =
-  Codec.of_string
-    (fun r ->
-      let tid = Codec.read_string r in
-      let writes =
-        Codec.read_list r (fun r ->
-            let k = Codec.read_string r in
-            let v = Codec.read_string r in
-            (k, v))
-      in
-      (tid, writes))
-    payload
 
 (* A "block" record marks its (tid, key) pairs persisted: recovery drops
    them from the replayed commits instead of re-queueing them. *)
@@ -335,7 +303,7 @@ let commit t ?ctx tid =
     Obs.Metrics.inc t.m_commits;
     ignore
       (Storage.Wal.append t.wal ~kind:"commit"
-         ~payload:(wal_commit_payload tid rw.Kv.writes));
+         ~payload:(Kv.encode_commit tid rw.Kv.writes));
     let promises =
       List.map
         (fun (k, v, predicted) ->
@@ -489,7 +457,7 @@ let recover t =
       incr replayed;
       match r.Storage.Wal.kind with
       | "commit" ->
-        (match parse_wal_commit r.Storage.Wal.payload with
+        (match Kv.decode_commit r.Storage.Wal.payload with
          | tid, writes -> commits := (tid, writes) :: !commits
          | exception _ ->
            (* Torn mid-write: the commit was never acknowledged. *)

@@ -39,7 +39,7 @@ module Node = struct
     disk_dev : Sim.Resource.t;
     mutable is_alive : bool;
     mutable storage : int;
-    stats : (string, Stats.t) Hashtbl.t;
+    stats : Stats.table;
     mutable commits : int;
     mutable aborts : int;
   }
@@ -62,7 +62,7 @@ module Node = struct
       disk_dev = Sim.Resource.create 1;
       is_alive = true;
       storage = 0;
-      stats = Hashtbl.create 8;
+      stats = Stats.table ();
       commits = 0;
       aborts = 0 }
 
@@ -72,23 +72,13 @@ module Node = struct
   let disk t = t.disk_dev
   let commit_lock _ = None
 
-  let note_phase t phase v =
-    let s =
-      match Hashtbl.find_opt t.stats phase with
-      | Some s -> s
-      | None ->
-        let s = Stats.create () in
-        Hashtbl.replace t.stats phase s;
-        s
-    in
-    Stats.add s v
-
-  let phase_stats t = Det.sorted_bindings ~cmp:String.compare t.stats
+  let note_phase t phase v = Stats.table_add t.stats phase v
+  let phase_stats t = Stats.table_bindings t.stats
   let commit_count t = t.commits
   let abort_count t = t.aborts
 
   let reset_stats t =
-    Hashtbl.reset t.stats;
+    Stats.table_reset t.stats;
     t.commits <- 0;
     t.aborts <- 0
 
@@ -125,23 +115,12 @@ module Node = struct
       Occ.prepare t.occ ~tid:stxn.Kv.tid ~current_version:(current_version t)
         rw
 
-  let entry_of tid writes =
-    Codec.to_string
-      (fun buf () ->
-        Codec.write_string buf tid;
-        Codec.write_list buf
-          (fun b (k, v) ->
-            Codec.write_string b k;
-            Codec.write_string b v)
-          writes)
-      ()
-
   let commit t tid =
     match Occ.commit t.occ ~tid with
     | None -> ()
     | Some rw ->
       t.commits <- t.commits + 1;
-      let entry = entry_of tid rw.Kv.writes in
+      let entry = Kv.encode_commit tid rw.Kv.writes in
       let seq = t.journal_count in
       push t.journal t.journal_count entry;
       t.journal_count <- t.journal_count + 1;
@@ -267,19 +246,6 @@ module Node = struct
           lp_clues;
           lp_digest = digest t }
 
-  let parse_entry entry =
-    Codec.of_string
-      (fun r ->
-        let tid = Codec.read_string r in
-        let writes =
-          Codec.read_list r (fun r ->
-              let k = Codec.read_string r in
-              let v = Codec.read_string r in
-              (k, v))
-        in
-        (tid, writes))
-      entry
-
   let verify_current ~digest:d ~key ~value p =
     (* 1. ccMPT certifies the clue count. *)
     Mpt.verify ~root:d.d_ccmpt ~key ~value:(Some (string_of_int p.lp_count))
@@ -293,14 +259,14 @@ module Node = struct
            Merkle_log.verify_inclusion ~root:d.d_bamt ~size:d.d_size
              ~index:jseq ~leaf:entry proof
            &&
-           match parse_entry entry with
+           match Kv.decode_commit entry with
            | exception _ -> false
            | _, writes -> List.mem_assoc key writes)
          p.lp_clues
     &&
     (match List.rev p.lp_clues with
      | (_, entry, _) :: _ ->
-       (match parse_entry entry with
+       (match Kv.decode_commit entry with
         | exception _ -> false
         | _, writes ->
           (match List.assoc_opt key writes with

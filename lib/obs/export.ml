@@ -1,63 +1,10 @@
 open Glassdb_util
 
-(* Serialization of the trace buffer and metric registry.  The emitter is
-   deliberately tiny (no JSON dependency in the tree) and deterministic:
-   fixed field order, canonical number formatting, sorted metric keys —
-   two identical simulated runs must serialize byte-identically. *)
+(* Serialization of the trace buffer and metric registry through the
+   canonical {!Json} emitter: fixed field order and sorted metric keys, so
+   two identical simulated runs serialize byte-identically. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-let rec emit buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (string_of_bool b)
-  | Num f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string buf (Printf.sprintf "%.0f" f)
-    else if Float.is_finite f then
-      Buffer.add_string buf (Printf.sprintf "%.6g" f)
-    else Buffer.add_string buf "null"
-  | Str s ->
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"'
-  | Arr l ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        emit buf v)
-      l;
-    Buffer.add_char buf ']'
-  | Obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        emit buf (Str k);
-        Buffer.add_char buf ':';
-        emit buf v)
-      fields;
-    Buffer.add_char buf '}'
-
-let to_string j =
-  let buf = Buffer.create 4096 in
-  emit buf j;
-  Buffer.contents buf
+open Json
 
 (* Microsecond timestamps with fixed precision, so formatting is stable. *)
 let us s = Num (Float.round (s *. 1e9) /. 1e3)
@@ -114,7 +61,7 @@ let trace_json () =
       ("dropped_events", Num (float_of_int (Trace.dropped ())));
       ( "traceEvents",
         Arr (List.map json_of_event (Trace.events ()) @ counter_events ()) ) ]
-  |> to_string
+  |> Json.to_string
 
 let json_of_counters (c : Work.counters) =
   Obj
@@ -178,7 +125,7 @@ let metrics_fields () =
     ("histograms", Obj histograms);
     ("attribution", Obj attribution) ]
 
-let metrics_json () = to_string (Obj (metrics_fields ()))
+let metrics_json () = Json.to_string (Obj (metrics_fields ()))
 
 let write_file ~path text =
   let oc = open_out path in
@@ -187,4 +134,3 @@ let write_file ~path text =
   close_out oc
 
 let write_trace ~path = write_file ~path (trace_json ())
-let write_metrics ~path = write_file ~path (metrics_json ())

@@ -25,7 +25,7 @@ module Node = struct
     tree_lock : Sim.Resource.t; (* whole-tree lock held across commit *)
     mutable is_alive : bool;
     mutable storage : int;
-    stats : (string, Stats.t) Hashtbl.t;
+    stats : Stats.table;
     mutable commits : int;
     mutable aborts : int;
   }
@@ -44,7 +44,7 @@ module Node = struct
       tree_lock = Sim.Resource.create 1;
       is_alive = true;
       storage = 0;
-      stats = Hashtbl.create 8;
+      stats = Stats.table ();
       commits = 0;
       aborts = 0 }
 
@@ -54,23 +54,13 @@ module Node = struct
   let disk t = t.disk_dev
   let commit_lock t = Some t.tree_lock
 
-  let note_phase t phase v =
-    let s =
-      match Hashtbl.find_opt t.stats phase with
-      | Some s -> s
-      | None ->
-        let s = Stats.create () in
-        Hashtbl.replace t.stats phase s;
-        s
-    in
-    Stats.add s v
-
-  let phase_stats t = Det.sorted_bindings ~cmp:String.compare t.stats
+  let note_phase t phase v = Stats.table_add t.stats phase v
+  let phase_stats t = Stats.table_bindings t.stats
   let commit_count t = t.commits
   let abort_count t = t.aborts
 
   let reset_stats t =
-    Hashtbl.reset t.stats;
+    Stats.table_reset t.stats;
     t.commits <- 0;
     t.aborts <- 0
 
@@ -111,17 +101,7 @@ module Node = struct
     | None -> ()
     | Some rw ->
       t.commits <- t.commits + 1;
-      let entry =
-        Codec.to_string
-          (fun buf () ->
-            Codec.write_string buf tid;
-            Codec.write_list buf
-              (fun b (k, v) ->
-                Codec.write_string b k;
-                Codec.write_string b v)
-              rw.Kv.writes)
-          ()
-      in
+      let entry = Kv.encode_commit tid rw.Kv.writes in
       (* Synchronous authenticated-structure update: append the entry,
          persist it, and recompute the Merkle root — all in the critical
          path (this is what makes QLDB*'s commit expensive). *)
@@ -195,21 +175,8 @@ module Node = struct
           cp_scan = List.rev !scan;
           cp_digest = digest t }
 
-  let parse_entry entry =
-    Codec.of_string
-      (fun r ->
-        let tid = Codec.read_string r in
-        let writes =
-          Codec.read_list r (fun r ->
-              let k = Codec.read_string r in
-              let v = Codec.read_string r in
-              (k, v))
-        in
-        (tid, writes))
-      entry
-
   let verify_current ~digest:d ~key ~value p =
-    match parse_entry p.cp_entry with
+    match Kv.decode_commit p.cp_entry with
     | exception _ -> false
     | _, writes ->
       List.exists

@@ -44,7 +44,6 @@ module Ivar : sig
   type 'a t
 
   val create : unit -> 'a t
-  val is_filled : 'a t -> bool
 
   val fill : 'a t -> 'a -> unit
   (** Raises [Invalid_argument] when already filled. *)
@@ -68,9 +67,6 @@ module Resource : sig
 
   val create : int -> t
   (** Capacity must be positive. *)
-
-  val acquire : t -> unit
-  val release : t -> unit
 
   val use : t -> (unit -> 'a) -> 'a
   (** Acquire, run, release (also on exception). *)

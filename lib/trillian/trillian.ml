@@ -28,7 +28,7 @@ type t = {
   worker_pool : Sim.Resource.t;
   backend : Sim.Resource.t; (* the single MySQL instance *)
   mutable storage : int;
-  stats : (string, Stats.t) Hashtbl.t;
+  stats : Stats.table;
   mutable ops : int;
 }
 
@@ -43,7 +43,7 @@ let create cfg =
     worker_pool = Sim.Resource.create cfg.workers;
     backend = Sim.Resource.create 1;
     storage = 0;
-    stats = Hashtbl.create 8;
+    stats = Stats.table ();
     ops = 0 }
 
 let alive _ = true
@@ -51,20 +51,10 @@ let workers t = t.worker_pool
 let backend t = t.backend
 let backend_delay t = t.cfg.backend_delay
 
-let note_phase t phase v =
-  let s =
-    match Hashtbl.find_opt t.stats phase with
-    | Some s -> s
-    | None ->
-      let s = Stats.create () in
-      Hashtbl.replace t.stats phase s;
-      s
-  in
-  Stats.add s v
-
-let phase_stats t = Det.sorted_bindings ~cmp:String.compare t.stats
+let note_phase t phase v = Stats.table_add t.stats phase v
+let phase_stats t = Stats.table_bindings t.stats
 let op_count t = t.ops
-let reset_stats t = Hashtbl.reset t.stats; t.ops <- 0
+let reset_stats t = Stats.table_reset t.stats; t.ops <- 0
 
 let mutation_entry k v =
   Codec.to_string

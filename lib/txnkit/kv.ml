@@ -47,6 +47,30 @@ let decode_rw_set r =
   in
   { reads; writes }
 
+let encode_commit tid writes =
+  Codec.to_string
+    (fun buf () ->
+      Codec.write_string buf tid;
+      Codec.write_list buf
+        (fun b (k, v) ->
+          Codec.write_string b k;
+          Codec.write_string b v)
+        writes)
+    ()
+
+let decode_commit entry =
+  Codec.of_string
+    (fun r ->
+      let tid = Codec.read_string r in
+      let writes =
+        Codec.read_list r (fun r ->
+            let k = Codec.read_string r in
+            let v = Codec.read_string r in
+            (k, v))
+      in
+      (tid, writes))
+    entry
+
 type signed_txn = {
   tid : txn_id;
   client : int;

@@ -27,6 +27,15 @@ val shard_of_key : shards:int -> key -> int
 val encode_rw_set : Buffer.t -> rw_set -> unit
 val decode_rw_set : Codec.reader -> rw_set
 
+val encode_commit : txn_id -> (key * value) list -> string
+(** The committed-transaction record: the transaction id, then its writes.
+    GlassDB logs it to its WAL; QLDB* and LedgerDB* append it to their
+    journals, where it is also the Merkle leaf. *)
+
+val decode_commit : string -> txn_id * (key * value) list
+(** Inverse of {!encode_commit}; raises {!Codec.Malformed} on truncated
+    or trailing bytes. *)
+
 type signed_txn = {
   tid : txn_id;
   client : int;

@@ -110,6 +110,24 @@ let clear t =
   t.max_v <- neg_infinity;
   t.sorted <- None
 
+type table = (string, t) Hashtbl.t
+
+let table () = Hashtbl.create 8
+
+let table_add tbl name x =
+  let s =
+    match Hashtbl.find_opt tbl name with
+    | Some s -> s
+    | None ->
+      let s = create () in
+      Hashtbl.replace tbl name s;
+      s
+  in
+  add s x
+
+let table_bindings tbl = Det.sorted_bindings ~cmp:String.compare tbl
+let table_reset tbl = Hashtbl.reset tbl
+
 type histogram = {
   width : float;
   buckets : (int, int) Hashtbl.t;

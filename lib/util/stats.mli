@@ -38,6 +38,19 @@ val merge : t -> t -> t
 
 val clear : t -> unit
 
+type table
+(** Named series, created on first use (the per-phase latencies of a node). *)
+
+val table : unit -> table
+val table_add : table -> string -> float -> unit
+(** [table_add tbl name x] adds [x] to the series [name]. *)
+
+val table_bindings : table -> (string * t) list
+(** Every series, sorted by name. *)
+
+val table_reset : table -> unit
+(** Drop every series. *)
+
 type histogram
 (** Fixed-bucket histogram for timeline plots (throughput per second). *)
 

@@ -317,9 +317,10 @@ let test_tpcc_driver_run () =
 (* --- benchdiff round-trip --- *)
 
 module Diff = Benchdiff_core.Diff
+module Json = Glassdb_util.Json
 
 let doc wall =
-  Bench1.(
+  Json.(
     Obj
       [ ("schema", Str "glassdb.example/v1");
         ("stages",
@@ -341,18 +342,18 @@ let test_benchdiff_roundtrip () =
   Alcotest.(check int) "but still reported" 1 (List.length r.Diff.r_changes);
   (* wallclock is exempt, like in the determinism checks. *)
   let with_wall t =
-    Bench1.(Obj [ ("wallclock", Obj [ ("finished_unix_s", Num t) ]) ])
+    Json.(Obj [ ("wallclock", Obj [ ("finished_unix_s", Num t) ]) ])
   in
   let r = Diff.diff (with_wall 1.) (with_wall 99.) in
   Alcotest.(check int) "wallclock ignored" 0
     (List.length r.Diff.r_changes + Diff.regressions r);
   (* Canonical report survives its own parser. *)
-  let text = Bench1.to_string (Diff.report_json (Diff.diff (doc 1.0) (doc 1.3))) in
-  match Bench1.parse text with
-  | exception Bench1.Bad m -> Alcotest.fail ("report does not parse: " ^ m)
+  let text = Json.to_string (Diff.report_json (Diff.diff (doc 1.0) (doc 1.3))) in
+  match Json.parse text with
+  | exception Json.Bad m -> Alcotest.fail ("report does not parse: " ^ m)
   | j ->
     Alcotest.(check bool) "schema tag" true
-      (Bench1.field "schema" j = Some (Bench1.Str Diff.schema_id))
+      (Json.field "schema" j = Some (Json.Str Diff.schema_id))
 
 let () =
   Alcotest.run "benchkit"

@@ -7,6 +7,8 @@ let fixture_dir = "lint_fixtures"
 
 let fixture name = Filename.concat fixture_dir name
 
+module Json = Glassdb_util.Json
+
 (* --- fixtures: each rule fires, stays quiet, and suppresses --- *)
 
 let test_fixtures () =
@@ -125,15 +127,19 @@ let test_parse_error () =
 
 (* --- JSON: round-trip and stability --- *)
 
+let findings_of j =
+  match Json.field "findings" (Json.parse j) with
+  | Some (Json.Arr l) -> l
+  | _ -> Alcotest.fail "no findings array"
+
 let test_json_roundtrip () =
   let report = Lint_engine.lint_file ~scope:Lint_engine.Lib (fixture "s001_pos.ml") in
-  let j1 = Lint_json.report_to_json report in
-  let j2 = Lint_json.report_to_json (Lint_json.report_of_json j1) in
-  Alcotest.(check string) "to_json . of_json . to_json = to_json" j1 j2;
-  let report' = Lint_json.report_of_json j1 in
+  let j = Lint_json.report_to_json report in
+  Alcotest.(check string) "to_string . parse = id" j
+    (Json.to_string (Json.parse j));
   Alcotest.(check int) "findings survive"
     (List.length report.Lint_engine.r_findings)
-    (List.length report'.Lint_engine.r_findings)
+    (List.length (findings_of j))
 
 let test_json_escapes_roundtrip () =
   let f =
@@ -142,9 +148,14 @@ let test_json_escapes_roundtrip () =
   in
   let r = { Lint_engine.r_findings = [ f ]; r_suppressed = [] } in
   let j = Lint_json.report_to_json r in
-  let r' = Lint_json.report_of_json j in
   Alcotest.(check string) "escaped json round-trips" j
-    (Lint_json.report_to_json r')
+    (Json.to_string (Json.parse j));
+  match findings_of j with
+  | [ found ] ->
+    Alcotest.(check bool) "file and msg survive" true
+      (Json.field "file" found = Some (Json.Str f.Lint_engine.f_file)
+       && Json.field "msg" found = Some (Json.Str f.Lint_engine.f_msg))
+  | _ -> Alcotest.fail "expected one finding"
 
 let test_json_stable () =
   (* Two independent runs over the same inputs produce byte-identical
@@ -164,6 +175,22 @@ let test_json_stable () =
             (List.concat_map (fun r -> r.Lint_engine.r_suppressed) reports) }
   in
   Alcotest.(check string) "byte-identical across runs" (run ()) (run ())
+
+(* SHA-256 of the report for two fixtures, so the --json bytes cannot
+   drift unnoticed. *)
+let test_json_pinned () =
+  List.iter
+    (fun (name, pin) ->
+      let j =
+        Lint_json.report_to_json
+          (Lint_engine.lint_file ~scope:Lint_engine.Lib (fixture name))
+      in
+      Alcotest.(check string) name pin
+        Glassdb_util.(Hex.encode (Sha256.digest_string j)))
+    [ ( "s001_pos.ml",
+        "72175156eb4d015503e0b4d6e6778bbfc14f2d7695fb25453cf33993787f60d4" );
+      ( "d003_pos.ml",
+        "71cc1f3c4aa3a1a575e4e6080aec18e21139b1837445209d8122bb59a2477934" ) ]
 
 (* --- allow.sexp grants --- *)
 
@@ -215,7 +242,8 @@ let () =
         [ Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "escapes round-trip" `Quick
             test_json_escapes_roundtrip;
-          Alcotest.test_case "stable across runs" `Quick test_json_stable ] );
+          Alcotest.test_case "stable across runs" `Quick test_json_stable;
+          Alcotest.test_case "pinned bytes" `Quick test_json_pinned ] );
       ( "grants",
         [ Alcotest.test_case "allow_fixture.sexp" `Quick test_grants;
           Alcotest.test_case "no blanket suppression" `Quick

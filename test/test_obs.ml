@@ -339,6 +339,18 @@ let test_determinism () =
   Alcotest.(check string) "byte-identical traces" trace1 trace2;
   Alcotest.(check string) "byte-identical metrics" metrics1 metrics2
 
+(* SHA-256 of both exports of [traced_run], so a change to the JSON
+   emitter or to what the run records cannot move a byte unnoticed. *)
+let test_pinned_export () =
+  let trace, metrics = traced_run () in
+  let sha s = Hex.encode (Sha256.digest_string s) in
+  Alcotest.(check string) "trace_json"
+    "384a96cdca3c61a3c6b881f5e814c837c0fec60c6b7e39956569f85d4d168e29"
+    (sha trace);
+  Alcotest.(check string) "metrics_json"
+    "f45b97d0586671cb0202da140ffe1df0558adf447fcccff2680fa8b26f7ec7e5"
+    (sha metrics)
+
 let () =
   Alcotest.run "obs"
     [ ("lhist",
@@ -372,4 +384,6 @@ let () =
            test_spans_disabled_and_nested ]);
       ("end-to-end",
        [ Alcotest.test_case "identical runs, identical bytes" `Quick
-           test_determinism ]) ]
+           test_determinism;
+         Alcotest.test_case "pinned export bytes" `Quick test_pinned_export ])
+    ]

@@ -115,9 +115,9 @@ let stage_persist () =
 
 let stage_micro () =
   let rows = Bench1.micro_sweep ~quick:true in
-  sha_hex (Bench1.to_string (Bench1.Arr (List.map Bench1.json_of_micro rows)))
+  sha_hex (Json.to_string (Json.Arr (List.map Bench1.json_of_micro rows)))
 
-let stage_macro () = sha_hex (Bench1.to_string (Bench1.macro_run ~quick:true))
+let stage_macro () = sha_hex (Json.to_string (Bench1.macro_run ~quick:true))
 
 (* The stages run once, in this order, whichever test case asks first. *)
 let digests =

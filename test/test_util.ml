@@ -285,6 +285,42 @@ let test_codec_trailing () =
   | exception Codec.Malformed _ -> ()
   | _ -> Alcotest.fail "expected Malformed on trailing bytes"
 
+(* --- Json --- *)
+
+let test_json_canonical_roundtrip () =
+  let v =
+    Json.Obj
+      [ ("s", Json.Str "q\"b\\s\nn\001c \xc3\xa9");
+        ("neg", Json.Num (-3.));
+        ("frac", Json.Num (-0.125));
+        ("below", Json.Num 999999999999999.);
+        ("at", Json.Num 1e15);
+        ("o", Json.Obj []);
+        ("a", Json.Arr [ Json.Arr []; Json.Bool true; Json.Null ]) ]
+  in
+  let canonical =
+    "{\"s\":\"q\\\"b\\\\s\\nn\\u0001c \xc3\xa9\",\"neg\":-3,\"frac\":-0.125,\
+     \"below\":999999999999999,\"at\":1e+15,\"o\":{},\"a\":[[],true,null]}"
+  in
+  Alcotest.(check string) "emitter output" canonical (Json.to_string v);
+  Alcotest.(check string) "six significant digits" "3.14159"
+    (Json.to_string (Json.Num 3.14159265));
+  Alcotest.(check bool) "parse inverts the emitter" true
+    (Json.parse canonical = v);
+  Alcotest.(check string) "to_string (parse s) = s" canonical
+    (Json.to_string (Json.parse canonical))
+
+let test_json_malformed () =
+  List.iter
+    (fun (what, s) ->
+      match Json.parse s with
+      | exception Json.Bad _ -> ()
+      | _ -> Alcotest.failf "%s parsed: %S" what s)
+    [ ("trailing bytes", "{\"a\":1} x");
+      ("unterminated string", "\"abc");
+      ("bare minus", "-");
+      ("unknown escape", "\"\\q\"") ]
+
 (* --- Rng --- *)
 
 let test_rng_determinism () =
@@ -673,6 +709,10 @@ let () =
        [ Alcotest.test_case "malformed input" `Quick test_codec_malformed;
          Alcotest.test_case "trailing bytes" `Quick test_codec_trailing ]
        @ qsuite [ prop_varint_roundtrip; prop_string_roundtrip; prop_list_roundtrip ]);
+      ("json",
+       [ Alcotest.test_case "canonical round trip" `Quick
+           test_json_canonical_roundtrip;
+         Alcotest.test_case "malformed input" `Quick test_json_malformed ]);
       ("rng",
        [ Alcotest.test_case "determinism" `Quick test_rng_determinism;
          Alcotest.test_case "split independence" `Quick test_rng_split_independent;

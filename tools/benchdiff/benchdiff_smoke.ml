@@ -6,11 +6,11 @@
    the same change inside the threshold is not; (3) a higher-better key
    falling is flagged; (4) a neutral-key change is reported but never
    gates; (5) structural drift (a removed field) gates; (6) the --json
-   report round-trips through the bench JSON parser with the advertised
+   report round-trips through the shared JSON parser with the advertised
    schema tag.  Wired into `dune runtest` via the benchdiff-smoke
    alias. *)
 
-open Bench1
+open Glassdb_util.Json
 module Diff = Benchdiff_core.Diff
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("benchdiff-smoke: FAILED: " ^ m); exit 1) fmt
@@ -77,7 +77,7 @@ let () =
   if Diff.regressions (Diff.diff base extra) <> 1 then fail "added field not gated";
   if Diff.regressions (Diff.diff extra base) <> 1 then fail "removed field not gated";
 
-  (* 6. canonical report round-trips through the bench JSON parser. *)
+  (* 6. canonical report round-trips through the shared JSON parser. *)
   let text = to_string (Diff.report_json (Diff.diff base slow)) in
   (match parse text with
    | exception Bad m -> fail "report_json does not parse: %s" m

@@ -20,7 +20,7 @@
    arrays), so reordering stages is not a spurious regression; otherwise
    elements pair by index. *)
 
-open Bench1
+open Glassdb_util.Json
 
 type change = {
   c_path : string;

@@ -1,179 +1,23 @@
-(* Machine-readable lint reports.  The writer emits a canonical form —
-   fixed key order, findings sorted by (file, line, col, rule) — so two
-   runs over the same tree are byte-identical; the reader accepts exactly
-   that subset of JSON, which is enough for round-tripping and for CI
-   consumers. *)
+(* Machine-readable lint reports in canonical form — fixed key order,
+   findings sorted by (file, line, col, rule) — so two runs over the same
+   tree are byte-identical. *)
 
 open Lint_engine
+open Glassdb_util.Json
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let finding_to_json f =
+  Obj
+    [ ("file", Str f.f_file);
+      ("line", Num (float_of_int f.f_line));
+      ("col", Num (float_of_int f.f_col));
+      ("rule", Str f.f_rule);
+      ("msg", Str f.f_msg) ]
 
-let finding_to_json buf f =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"msg\":\"%s\"}"
-       (escape f.f_file) f.f_line f.f_col (escape f.f_rule) (escape f.f_msg))
-
-let list_to_json buf fs =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char buf ',';
-      finding_to_json buf f)
-    fs;
-  Buffer.add_char buf ']'
+let list_to_json fs = Arr (List.map finding_to_json (sort_findings fs))
 
 let report_to_json r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"version\":1,\"findings\":";
-  list_to_json buf (sort_findings r.r_findings);
-  Buffer.add_string buf ",\"suppressed\":";
-  list_to_json buf (sort_findings r.r_suppressed);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
-(* --- reader --- *)
-
-exception Bad_json of string
-
-type tok =
-  | Tlbrace | Trbrace | Tlbracket | Trbracket | Tcolon | Tcomma
-  | Tstring of string
-  | Tint of int
-
-let tokenize src =
-  let n = String.length src in
-  let pos = ref 0 in
-  let out = ref [] in
-  while !pos < n do
-    (match src.[!pos] with
-     | ' ' | '\t' | '\n' | '\r' -> incr pos
-     | '{' -> out := Tlbrace :: !out; incr pos
-     | '}' -> out := Trbrace :: !out; incr pos
-     | '[' -> out := Tlbracket :: !out; incr pos
-     | ']' -> out := Trbracket :: !out; incr pos
-     | ':' -> out := Tcolon :: !out; incr pos
-     | ',' -> out := Tcomma :: !out; incr pos
-     | '"' ->
-       incr pos;
-       let buf = Buffer.create 16 in
-       let fin = ref false in
-       while not !fin do
-         if !pos >= n then raise (Bad_json "unterminated string");
-         (match src.[!pos] with
-          | '"' -> fin := true; incr pos
-          | '\\' ->
-            if !pos + 1 >= n then raise (Bad_json "unterminated escape");
-            (match src.[!pos + 1] with
-             | 'n' -> Buffer.add_char buf '\n'
-             | 't' -> Buffer.add_char buf '\t'
-             | 'u' ->
-               if !pos + 5 >= n then raise (Bad_json "bad \\u escape");
-               let code = int_of_string ("0x" ^ String.sub src (!pos + 2) 4) in
-               Buffer.add_char buf (Char.chr (code land 0xff));
-               pos := !pos + 4
-             | c -> Buffer.add_char buf c);
-            pos := !pos + 2
-          | c -> Buffer.add_char buf c; incr pos)
-       done;
-       out := Tstring (Buffer.contents buf) :: !out
-     | '-' | '0' .. '9' ->
-       let start = !pos in
-       incr pos;
-       while !pos < n && (match src.[!pos] with '0' .. '9' -> true | _ -> false) do
-         incr pos
-       done;
-       out := Tint (int_of_string (String.sub src start (!pos - start))) :: !out
-     | c -> raise (Bad_json (Printf.sprintf "unexpected character %C" c)))
-  done;
-  List.rev !out
-
-let report_of_json src =
-  let toks = ref (tokenize src) in
-  let next () =
-    match !toks with
-    | [] -> raise (Bad_json "unexpected end of input")
-    | t :: rest ->
-      toks := rest;
-      t
-  in
-  let expect t what =
-    if next () <> t then raise (Bad_json ("expected " ^ what))
-  in
-  let str () =
-    match next () with
-    | Tstring s -> s
-    | _ -> raise (Bad_json "expected string")
-  in
-  let int () =
-    match next () with
-    | Tint i -> i
-    | _ -> raise (Bad_json "expected int")
-  in
-  let key k =
-    (match next () with
-     | Tstring s when String.equal s k -> ()
-     | _ -> raise (Bad_json ("expected key " ^ k)));
-    expect Tcolon "':'"
-  in
-  let finding () =
-    expect Tlbrace "'{'";
-    key "file";
-    let file = str () in
-    expect Tcomma "','";
-    key "line";
-    let line = int () in
-    expect Tcomma "','";
-    key "col";
-    let col = int () in
-    expect Tcomma "','";
-    key "rule";
-    let rule = str () in
-    expect Tcomma "','";
-    key "msg";
-    let msg = str () in
-    expect Trbrace "'}'";
-    { f_file = file; f_line = line; f_col = col; f_rule = rule; f_msg = msg }
-  in
-  let finding_list () =
-    expect Tlbracket "'['";
-    let rec loop acc =
-      match !toks with
-      | Trbracket :: rest ->
-        toks := rest;
-        List.rev acc
-      | Tcomma :: rest when acc <> [] ->
-        toks := rest;
-        loop (finding () :: acc)
-      | _ when acc = [] -> loop (finding () :: acc)
-      | _ -> raise (Bad_json "expected ',' or ']'")
-    in
-    loop []
-  in
-  expect Tlbrace "'{'";
-  key "version";
-  (match int () with
-   | 1 -> ()
-   | v -> raise (Bad_json (Printf.sprintf "unsupported version %d" v)));
-  expect Tcomma "','";
-  key "findings";
-  let findings = finding_list () in
-  expect Tcomma "','";
-  key "suppressed";
-  let suppressed = finding_list () in
-  expect Trbrace "'}'";
-  if !toks <> [] then raise (Bad_json "trailing tokens");
-  { r_findings = findings; r_suppressed = suppressed }
+  to_string
+    (Obj
+       [ ("version", Num 1.);
+         ("findings", list_to_json r.r_findings);
+         ("suppressed", list_to_json r.r_suppressed) ])

@@ -1,10 +1,5 @@
-(** Canonical JSON serialization of lint reports: fixed key order and
-    sorted findings, so identical trees produce byte-identical output. *)
-
-exception Bad_json of string
+(** Canonical JSON serialization of lint reports through
+    {!Glassdb_util.Json}: fixed key order and sorted findings, so
+    identical trees produce byte-identical output. *)
 
 val report_to_json : Lint_engine.report -> string
-
-val report_of_json : string -> Lint_engine.report
-(** Inverse of [report_to_json] on its canonical output subset; raises
-    [Bad_json] on anything else. *)
