@@ -301,41 +301,67 @@ let encode_proof = proof_codec.Codec.encode
 let decode_proof = proof_codec.Codec.decode
 let proof_size_bytes = proof_codec.Codec.size_bytes
 
-let prove_inclusion t key ~block =
+(* Every proof about a block's state opens the same way: the block's
+   serialized header and its path in the upper tree, plus the block's
+   state tree for the lower-tree walk.  [what] names the caller in the
+   error for a missing block. *)
+let block_anchor t block ~what =
   match (header_at t block, state_at t block) with
   | Some header, Some st ->
-    { p_block = block;
-      p_header = header_bytes header;
-      p_upper = Pos_tree.prove t.upper (block_key block);
-      p_lower = Pos_tree.prove st key;
-      p_payload = Pos_tree.get st key }
-  | _ -> invalid_arg "Ledger.prove_inclusion: no such block"
+    (header_bytes header, Pos_tree.prove t.upper (block_key block), st)
+  | _ -> invalid_arg ("Ledger." ^ what ^ ": no such block")
+
+(* The matching check, shared by every verifier of such a proof: the
+   header parses, names the claimed block, is no newer than the digest,
+   and sits under the digest's root in the upper tree.  Returns the
+   header. *)
+let check_anchor ~digest ~block ~header upper =
+  match
+    (* Parse the header defensively: it comes from the server. *)
+    Codec.of_string decode_header header
+  with
+  | exception _ -> None
+  | h ->
+    if
+      Int.equal h.block_no block
+      && block <= digest.block_no
+      && Pos_tree.verify ~root:digest.root ~key:(block_key block)
+           ~value:(Some header) upper
+    then Some h
+    else None
+
+(* The value a certified payload carries, provided its version is not
+   newer than the block that certifies it. *)
+let certified_value ~block payload =
+  match decode_payload payload with
+  | value, version, _ -> if version <= block then Some value else None
+  | exception _ -> None
+
+let prove_inclusion t key ~block =
+  let header, upper, st = block_anchor t block ~what:"prove_inclusion" in
+  { p_block = block;
+    p_header = header;
+    p_upper = upper;
+    p_lower = Pos_tree.prove st key;
+    p_payload = Pos_tree.get st key }
 
 let prove_current t key =
   if t.latest < 0 then invalid_arg "Ledger.prove_current: empty ledger"
   else prove_inclusion t key ~block:t.latest
 
 let verify_inclusion ~digest ~key ~value p =
-  match
-    (* Parse the header defensively: it comes from the server. *)
-    Codec.of_string decode_header p.p_header
-  with
-  | exception _ -> false
-  | header ->
-    Int.equal header.block_no p.p_block
-    && p.p_block <= digest.block_no
-    && Pos_tree.verify ~root:digest.root ~key:(block_key p.p_block)
-         ~value:(Some p.p_header) p.p_upper
-    && Pos_tree.verify ~root:header.state_root ~key ~value:p.p_payload
-         p.p_lower
+  match check_anchor ~digest ~block:p.p_block ~header:p.p_header p.p_upper with
+  | None -> false
+  | Some header ->
+    Pos_tree.verify ~root:header.state_root ~key ~value:p.p_payload p.p_lower
     &&
     (match (p.p_payload, value) with
      | None, None -> true
      | None, Some _ | Some _, None -> false
      | Some payload, Some v ->
-       (match decode_payload payload with
-        | value', version, _ -> String.equal value' v && version <= p.p_block
-        | exception _ -> false))
+       Option.equal String.equal
+         (certified_value ~block:p.p_block payload)
+         (Some v))
 
 let verify_current ~digest ~key ~value p =
   Int.equal p.p_block digest.block_no
@@ -348,7 +374,7 @@ type batch_proof = {
   bp_block : int;
   bp_header : string;
   bp_upper : Pos_tree.proof;
-  bp_lower : Pos_tree.multiproof;
+  bp_lower : Pos_tree.proof;
   bp_items : (Kv.key * string option) list;
       (** certified (key, encoded payload or absent), one per requested key *)
 }
@@ -359,7 +385,7 @@ let batch_proof_codec : batch_proof Codec.codec =
       Codec.write_varint buf p.bp_block;
       Codec.write_string buf p.bp_header;
       Pos_tree.encode_proof buf p.bp_upper;
-      Pos_tree.encode_multiproof buf p.bp_lower;
+      Pos_tree.encode_proof buf p.bp_lower;
       Codec.write_list buf
         (fun b (k, v) ->
           Codec.write_string b k;
@@ -369,7 +395,7 @@ let batch_proof_codec : batch_proof Codec.codec =
       let bp_block = Codec.read_varint r in
       let bp_header = Codec.read_string r in
       let bp_upper = Pos_tree.decode_proof r in
-      let bp_lower = Pos_tree.decode_multiproof r in
+      let bp_lower = Pos_tree.decode_proof r in
       let bp_items =
         Codec.read_list r (fun r' ->
             let k = Codec.read_string r' in
@@ -384,40 +410,33 @@ let decode_batch_proof = batch_proof_codec.Codec.decode
 let batch_proof_size_bytes = batch_proof_codec.Codec.size_bytes
 
 let prove_inclusion_batch t keys ~block =
-  match (header_at t block, state_at t block) with
-  | Some header, Some st ->
-    let lower, items = Pos_tree.prove_batch st keys in
-    { bp_block = block;
-      bp_header = header_bytes header;
-      bp_upper = Pos_tree.prove t.upper (block_key block);
-      bp_lower = lower;
-      bp_items = items }
-  | _ -> invalid_arg "Ledger.prove_inclusion_batch: no such block"
+  let header, upper, st = block_anchor t block ~what:"prove_inclusion_batch" in
+  let lower, items = Pos_tree.prove_batch st keys in
+  { bp_block = block;
+    bp_header = header;
+    bp_upper = upper;
+    bp_lower = lower;
+    bp_items = items }
 
 let prove_inclusion_batches t groups =
   List.map (fun (block, keys) -> prove_inclusion_batch t keys ~block) groups
 
 (* Header and upper-tree inclusion are checked once for the whole batch;
-   the multiproof then certifies every (key, payload) pair against the
-   block's state root in one pass. *)
+   the lower-tree proof then certifies every (key, payload) pair against
+   the block's state root in one walk. *)
 let verify_inclusion_batch ~digest p =
-  match Codec.of_string decode_header p.bp_header with
-  | exception _ -> false
-  | header ->
-    Int.equal header.block_no p.bp_block
-    && p.bp_block <= digest.block_no
-    && Pos_tree.verify ~root:digest.root ~key:(block_key p.bp_block)
-         ~value:(Some p.bp_header) p.bp_upper
-    && Pos_tree.verify_batch ~root:header.state_root ~items:p.bp_items
-         p.bp_lower
+  match
+    check_anchor ~digest ~block:p.bp_block ~header:p.bp_header p.bp_upper
+  with
+  | None -> false
+  | Some header ->
+    Pos_tree.verify_batch ~root:header.state_root ~items:p.bp_items
+      p.bp_lower
     && List.for_all
          (fun (_, payload) ->
            match payload with
            | None -> true
-           | Some s ->
-             (match decode_payload s with
-              | _, version, _ -> version <= p.bp_block
-              | exception _ -> false))
+           | Some s -> Option.is_some (certified_value ~block:p.bp_block s))
          p.bp_items
 
 (* The binding a verified batch proof certifies for [key]: [Some None] is
@@ -437,23 +456,21 @@ type scan_proof = {
   sp_block : int;
   sp_header : string;
   sp_upper : Pos_tree.proof;
-  sp_range : Pos_tree.range_proof;
+  sp_range : Pos_tree.proof;
 }
 
 let scan_proof_size_bytes p =
   String.length p.sp_header
   + Pos_tree.proof_size_bytes p.sp_upper
-  + Pos_tree.range_proof_size_bytes p.sp_range + 8
+  + Pos_tree.proof_size_bytes p.sp_range + 8
 
 let prove_scan t ~lo ~hi ?block () =
   let block = Option.value ~default:t.latest block in
-  match (header_at t block, state_at t block) with
-  | Some header, Some st ->
-    { sp_block = block;
-      sp_header = header_bytes header;
-      sp_upper = Pos_tree.prove t.upper (block_key block);
-      sp_range = Pos_tree.prove_range st ~lo ~hi }
-  | _ -> invalid_arg "Ledger.prove_scan: no such block"
+  let header, upper, st = block_anchor t block ~what:"prove_scan" in
+  { sp_block = block;
+    sp_header = header;
+    sp_upper = upper;
+    sp_range = Pos_tree.prove_range st ~lo ~hi }
 
 let scan_at t block ~lo ~hi =
   match state_at t block with
@@ -485,14 +502,11 @@ let scan ?block t ~lo ~hi =
   else scan_at t block ~lo ~hi
 
 let verify_scan ~digest ~lo ~hi ~rows p =
-  match Codec.of_string decode_header p.sp_header with
-  | exception _ -> false
-  | header ->
-    Int.equal header.block_no p.sp_block
-    && p.sp_block <= digest.block_no
-    && Pos_tree.verify ~root:digest.root ~key:(block_key p.sp_block)
-         ~value:(Some p.sp_header) p.sp_upper
-    &&
+  match
+    check_anchor ~digest ~block:p.sp_block ~header:p.sp_header p.sp_upper
+  with
+  | None -> false
+  | Some header ->
     (match
        Pos_tree.extract_range ~root:header.state_root ~lo ~hi p.sp_range
      with
@@ -504,11 +518,9 @@ let verify_scan ~digest ~lo ~hi ~rows p =
        && List.for_all2
             (fun (ck, payload) (rk, rv) ->
               String.equal ck rk
-              &&
-              match decode_payload payload with
-              | value, version, _ ->
-                String.equal value rv && version <= p.sp_block
-              | exception _ -> false)
+              && Option.equal String.equal
+                   (certified_value ~block:p.sp_block payload)
+                   (Some rv))
             certified rows)
 
 type append_proof =

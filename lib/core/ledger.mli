@@ -13,7 +13,14 @@
       (the lower tree holds the whole state, so the latest value is always
       in the right-most block),
     - {!prove_append_only}: the old head block header is contained unchanged
-      in the new upper tree; headers hash-chain to their predecessors. *)
+      in the new upper tree; headers hash-chain to their predecessors.
+
+    Inclusion, batch and scan proofs share one shape: the block's
+    serialized header, its upper-tree path (a {!Postree.Pos_tree.prove}
+    walk to the block's key), and one lower-tree walk over the block's
+    state — a single key, a key batch or a key range.  Verification checks
+    the header and its upper path once, then replays the lower walk
+    against the header's state root. *)
 
 open Glassdb_util
 module Kv = Txnkit.Kv
@@ -144,11 +151,11 @@ type batch_proof = {
   bp_block : int;
   bp_header : string;               (** serialized header *)
   bp_upper : Postree.Pos_tree.proof;
-  bp_lower : Postree.Pos_tree.multiproof;
+  bp_lower : Postree.Pos_tree.proof;
   bp_items : (Kv.key * string option) list;
       (** certified (key, encoded payload or absent) per requested key *)
 }
-(** One header, one upper-tree path, and one lower-tree multiproof cover a
+(** One header, one upper-tree path, and one lower-tree batch walk cover a
     whole key batch: chunks shared between the keys' search paths ship and
     hash once.  This is what a shard returns for a deferred-verification
     flush. *)
@@ -170,8 +177,8 @@ val prove_inclusion_batches : t -> (int * Kv.key list) list -> batch_proof list
     when any block does not exist. *)
 
 val verify_inclusion_batch : digest:digest -> batch_proof -> bool
-(** Checks header and upper-tree inclusion once, then the multiproof for
-    every item, including payload version sanity. *)
+(** Checks header and upper-tree inclusion once, then the lower-tree walk
+    for every item, including payload version sanity. *)
 
 val batch_proof_value :
   batch_proof -> Kv.key -> Kv.value option option

@@ -322,15 +322,7 @@ let abort t tid =
   Hashtbl.remove t.signed tid;
   ignore (Storage.Wal.append t.wal ~kind:"abort" ~payload:tid)
 
-(* Checkpoint: committed data up to the current ledger head is durable in
-   the authenticated storage, so the WAL prefix is no longer needed for
-   recovery. *)
-let checkpoint t =
-  let horizon = Storage.Wal.last_seq t.wal + 1 in
-  Storage.Wal.truncate_before t.wal horizon
-
 let wal_size_bytes t = Storage.Wal.size_bytes t.wal
-let wal_records t = List.length (Storage.Wal.records_from t.wal 0)
 
 (* --- reads and proofs --- *)
 
@@ -450,6 +442,7 @@ let recover t =
   Queue.clear t.txn_blocks;
   Occ.clear t.occ;
   let persisted = Hashtbl.create 64 in
+  let prepared = Hashtbl.create 64 in
   let commits = ref [] in
   let replayed = ref 0 in
   List.iter
@@ -473,16 +466,22 @@ let recover t =
              pairs
          | exception _ -> ())
       | "prepare" ->
-        (* Undecided at crash time: conservatively aborted (the paper's
-           recovering node asks the client; our clients have already timed
-           out and aborted by the time the node reboots). *)
-        ()
+        (* Kept for the commit record that may follow: a replayed commit's
+           block must carry the signed transaction vouching for its writes.
+           A prepare with no commit was undecided at crash time and is
+           conservatively aborted (the paper's recovering node asks the
+           client; our clients have already timed out and aborted by the
+           time the node reboots). *)
+        (match Codec.of_string Kv.decode_signed_txn r.Storage.Wal.payload with
+         | stxn -> Hashtbl.replace prepared stxn.Kv.tid stxn
+         | exception _ -> ())
       | _ -> ())
     (Storage.Wal.records_from t.wal 0);
   (* Re-queue the unpersisted writes as [commit] queued them, in commit
      order: a no-BA transaction stays one queue entry, one block. *)
   List.iter
     (fun (tid, writes) ->
+      Option.iter (Hashtbl.replace t.signed tid) (Hashtbl.find_opt prepared tid);
       ignore
         (enqueue t tid
            (List.filter

@@ -80,13 +80,7 @@ val persist_step : t -> now:float -> bool
     persister process charges each step separately so ledger IO
     interleaves with foreground traffic. *)
 
-val checkpoint : t -> unit
-(** Truncate the WAL once everything it covers is persisted to the ledger;
-    call only when the committed-data map has drained (the persister's
-    quiescent points). *)
-
 val wal_size_bytes : t -> int
-val wal_records : t -> int
 
 (* --- reads and proofs --- *)
 
@@ -139,7 +133,9 @@ val recover : t -> unit
 (** Reboot: reset volatile state and replay the WAL — committed writes not
     covered by a later "block" record are re-queued for persistence in
     commit order, with the block predictions {!commit} made for them (one
-    queue entry per transaction in no-BA mode); prepared-but-undecided
+    queue entry per transaction in no-BA mode) and the signed transaction
+    from each commit's prepare record, so the blocks that persist them
+    pass the auditor's vouching check; prepared-but-undecided
     transactions are conservatively aborted; torn trailing records are
     skipped.  Replay is idempotent.  Emits a [recovery.wal_replay] span
     and bumps the [glassdb.node.recoveries] /

@@ -220,6 +220,13 @@ let bindings t =
            Array.to_list c.items
            |> List.map (fun it -> (Chunker.item_key it, Chunker.item_payload it)))
 
+let bindings_range t ~lo ~hi =
+  if is_empty t || String.compare lo hi >= 0 then []
+  else
+    bindings t
+    |> List.filter (fun (k, _) ->
+           String.compare lo k <= 0 && String.compare k hi < 0)
+
 (* --- incremental update --- *)
 
 (* A positional patch replaces item positions [start, stop) with [items]. *)
@@ -503,190 +510,48 @@ let load cfg root =
     | exception Load_failure -> None
   end
 
-(* --- proofs --- *)
+(* --- proofs ---
 
-type proof = string list (* serialized chunks, root first *)
+   Every proof kind (one key, a key batch, a key range) is the same
+   depth-first walk from the root.  At each index chunk a selector picks
+   the children to visit, in key order, each paired with the part of the
+   query routed to it.  A proof is the walk's chunks in visit order; the
+   verifier replays the same walk over the shipped list, hashing each
+   chunk once against the digest its parent routes to, so a missing,
+   leftover, duplicated or reordered chunk fails the replay. *)
 
-(* All three proof kinds are chunk lists on the wire; they share one codec
-   shape.  The accounting size charges each chunk plus a fixed 4-byte
-   frame — the modelled RPC framing, not the varint encoding. *)
-let chunk_list_codec : string list Codec.codec =
+type proof = string list (* serialized chunks in visit order, root first *)
+
+(* The accounting size charges each chunk plus a fixed 4-byte frame — the
+   modelled RPC framing, not the varint encoding. *)
+let proof_codec : proof Codec.codec =
   Codec.codec
     ~size_bytes:(List.fold_left (fun acc s -> acc + String.length s + 4) 0)
     ~encode:(fun buf p -> Codec.write_list buf Codec.write_string p)
     ~decode:(fun r -> Codec.read_list r Codec.read_string)
     ()
 
-let proof_codec : proof Codec.codec = chunk_list_codec
 let proof_size_bytes = proof_codec.Codec.size_bytes
 let encode_proof = proof_codec.Codec.encode
 let decode_proof = proof_codec.Codec.decode
 
-let prove t key =
-  let top = Array.length t.levels - 1 in
-  if top < 0 then []
-  else begin
-    let rec descend l ci acc =
-      Work.note_page_read ();
-      let chunk = t.levels.(l).chunks.(ci) in
-      let acc = serialize_chunk ~leaf:(l = 0) chunk.items :: acc in
-      if l = 0 then acc
-      else begin
-        let idx = route_index chunk.items key in
-        descend (l - 1) (t.levels.(l).offsets.(ci) + idx) acc
-      end
-    in
-    List.rev (descend top 0 [])
-  end
+(* Key selector: the sorted queries grouped by the child [route_index]
+   sends their key to; it is monotone, so grouping consecutive queries
+   suffices. *)
+let route_keys key_of (items : Chunker.item array) qs =
+  List.fold_left
+    (fun acc q ->
+      let idx = route_index items (key_of q) in
+      match acc with
+      | (i, qs') :: rest when Int.equal i idx -> (i, q :: qs') :: rest
+      | _ -> (idx, [ q ]) :: acc)
+    [] qs
+  |> List.rev_map (fun (i, qs') -> (i, List.rev qs'))
 
-let verify ~root ~key ~value proof =
-  match proof with
-  | [] -> Hash.equal root Hash.empty && value = None
-  | _ ->
-    let rec walk expected proof =
-      match proof with
-      | [] -> false
-      | s :: rest ->
-        (match parse_chunk s with
-         | exception Codec.Malformed _ -> false
-         | (_, [||]) -> false
-         | leaf, items ->
-           if not (Hash.equal (chunk_hash ~leaf items) expected) then false
-           else if leaf then
-             (* Leaf chunk: must be the last element of the proof. *)
-             rest = [] && Option.equal String.equal (find_leaf items key) value
-           else begin
-             let idx = route_index items key in
-             walk (Chunker.item_payload items.(idx)) rest
-           end)
-    in
-    walk root proof
-
-(* --- batched multiproofs --- *)
-
-type multiproof = string list (* distinct serialized chunks, root first *)
-
-let multiproof_codec : multiproof Codec.codec = chunk_list_codec
-let multiproof_size_bytes = multiproof_codec.Codec.size_bytes
-let encode_multiproof = multiproof_codec.Codec.encode
-let decode_multiproof = multiproof_codec.Codec.decode
-
-(* One walk for the whole (sorted, deduplicated) key set: each chunk on any
-   covered root-to-leaf path is visited, charged and serialized exactly
-   once, no matter how many keys route through it. *)
-let prove_batch t keys =
-  let keys = List.sort_uniq String.compare keys in
-  if keys = [] then ([], [])
-  else if is_empty t then ([], List.map (fun k -> (k, None)) keys)
-  else begin
-    let seen = Hashtbl.create 32 in
-    let chunks = ref [] in
-    let bindings = ref [] in
-    let add ~leaf chunk =
-      if not (Hashtbl.mem seen chunk.hash) then begin
-        Hashtbl.replace seen chunk.hash ();
-        Work.note_page_read ();
-        chunks := serialize_chunk ~leaf chunk.items :: !chunks
-      end
-    in
-    let rec walk l ci ks =
-      let chunk = t.levels.(l).chunks.(ci) in
-      add ~leaf:(l = 0) chunk;
-      if l = 0 then
-        List.iter
-          (fun k -> bindings := (k, find_leaf chunk.items k) :: !bindings)
-          ks
-      else begin
-        (* Partition the sorted keys among children; route_index is
-           monotone, so grouping consecutive keys suffices. *)
-        let groups =
-          List.fold_left
-            (fun acc k ->
-              let idx = route_index chunk.items k in
-              match acc with
-              | (i, ks') :: rest when Int.equal i idx -> (i, k :: ks') :: rest
-              | _ -> (idx, [ k ]) :: acc)
-            [] ks
-          |> List.rev_map (fun (i, ks') -> (i, List.rev ks'))
-        in
-        List.iter
-          (fun (idx, sub) -> walk (l - 1) (t.levels.(l).offsets.(ci) + idx) sub)
-          groups
-      end
-    in
-    walk (Array.length t.levels - 1) 0 keys;
-    (List.rev !chunks, List.rev !bindings)
-  end
-
-let verify_batch ~root ~items proof =
-  if items = [] then proof = []
-  else
-    match proof with
-    | [] ->
-      Hash.equal root Hash.empty && List.for_all (fun (_, v) -> v = None) items
-    | _ ->
-      let by_hash = Hashtbl.create 32 in
-      let ok = ref true in
-      (* Parse every chunk first, then authenticate the whole batch
-         through one scratch context ({!Hash.combine_many}); feeding item
-         digests is exactly what [chunk_hash] does per chunk. *)
-      let parsed = ref [] in
-      List.iter
-        (fun s ->
-          match parse_chunk s with
-          | exception Codec.Malformed _ -> ok := false
-          | _, [||] -> ok := false
-          | leaf, its -> parsed := (leaf, its) :: !parsed)
-        proof;
-      let parsed = Array.of_list (List.rev !parsed) in
-      let hashes =
-        Hash.combine_many
-          (fun (leaf, its) push ->
-            push (if leaf then leaf_tag else interior_tag);
-            Array.iter (fun it -> push (Chunker.item_hash it)) its)
-          parsed
-      in
-      Array.iteri
-        (fun i (leaf, its) -> Hashtbl.replace by_hash hashes.(i) (leaf, its))
-        parsed;
-      !ok
-      && List.for_all
-           (fun (key, value) ->
-             (* Re-walk the shared chunk set from the root for each key; a
-                dropped or tampered chunk breaks the hash chain. *)
-             let rec lookup expected =
-               match Hashtbl.find_opt by_hash expected with
-               | None -> None
-               | Some (true, its) -> Some (find_leaf its key)
-               | Some (false, its) ->
-                 let idx = route_index its key in
-                 lookup (Chunker.item_payload its.(idx))
-             in
-             match lookup root with
-             | Some v -> Option.equal String.equal v value
-             | None -> false)
-           items
-
-(* --- verifiable range queries --- *)
-
-let bindings_range t ~lo ~hi =
-  if is_empty t || String.compare lo hi >= 0 then []
-  else
-    bindings t
-    |> List.filter (fun (k, _) ->
-           String.compare lo k <= 0 && String.compare k hi < 0)
-
-type range_proof = string list (* distinct serialized chunks, root included *)
-
-let range_proof_codec : range_proof Codec.codec = chunk_list_codec
-let range_proof_size_bytes = range_proof_codec.Codec.size_bytes
-let encode_range_proof = range_proof_codec.Codec.encode
-let decode_range_proof = range_proof_codec.Codec.decode
-
-(* Children of an index chunk that may hold keys in [lo, hi): child i covers
-   [ikey_i, ikey_{i+1}), except child 0 which also covers anything below its
-   first key. *)
-let children_in_range (items : Chunker.item array) ~lo ~hi =
+(* Range selector: children that may hold keys in [lo, hi).  Child i
+   covers [ikey_i, ikey_{i+1}), except child 0 which also covers anything
+   below its first key. *)
+let children_in_range ~lo ~hi (items : Chunker.item array) () =
   let n = Array.length items in
   let out = ref [] in
   for i = n - 1 downto 0 do
@@ -700,79 +565,99 @@ let children_in_range (items : Chunker.item array) ~lo ~hi =
       i + 1 >= n || String.compare (Chunker.item_key items.(i + 1)) lo > 0
     in
     if below_hi && (first_ge_lo || (covers_lo && next_first_above_lo)) then
-      out := i :: !out
+      out := (i, ()) :: !out
   done;
   !out
 
+(* The prover: walk a non-empty tree, handing each visited leaf chunk and
+   its query to [at_leaf]; returns the visited chunks in visit order. *)
+let walk t ~select ~at_leaf q =
+  let chunks = ref [] in
+  let rec go l ci q =
+    Work.note_page_read ();
+    let chunk = t.levels.(l).chunks.(ci) in
+    chunks := serialize_chunk ~leaf:(l = 0) chunk.items :: !chunks;
+    if l = 0 then at_leaf chunk.items q
+    else
+      List.iter
+        (fun (idx, q) -> go (l - 1) (t.levels.(l).offsets.(ci) + idx) q)
+        (select chunk.items q)
+  in
+  go (Array.length t.levels - 1) 0 q;
+  List.rev !chunks
+
+(* The verifier: replay the walk over [proof] from [root].  Each chunk
+   must hash to the digest its parent routes to, [check_leaf] must accept
+   every leaf, and the walk must consume the list exactly. *)
+let replay ~root ~select ~check_leaf q proof =
+  let rec go expected q = function
+    | [] -> None
+    | s :: rest ->
+      (match parse_chunk s with
+       | exception Codec.Malformed _ -> None
+       | _, [||] -> None
+       | leaf, items ->
+         if not (Hash.equal (chunk_hash ~leaf items) expected) then None
+         else if leaf then if check_leaf items q then Some rest else None
+         else
+           List.fold_left
+             (fun rest (idx, q) ->
+               Option.bind rest (go (Chunker.item_payload items.(idx)) q))
+             (Some rest) (select items q))
+  in
+  match go root q proof with Some [] -> true | _ -> false
+
+let prove_batch t keys =
+  let keys = List.sort_uniq String.compare keys in
+  if keys = [] || is_empty t then ([], List.map (fun k -> (k, None)) keys)
+  else begin
+    let found = ref [] in
+    let at_leaf items ks =
+      List.iter (fun k -> found := (k, find_leaf items k) :: !found) ks
+    in
+    let proof = walk t ~select:(route_keys Fun.id) ~at_leaf keys in
+    (proof, List.rev !found)
+  end
+
+let prove t key = fst (prove_batch t [ key ])
+
 let prove_range t ~lo ~hi =
   if is_empty t || String.compare lo hi >= 0 then []
-  else begin
-    let seen = Hashtbl.create 32 in
-    let acc = ref [] in
-    let add ~leaf items =
-      let s = serialize_chunk ~leaf items in
-      if not (Hashtbl.mem seen s) then begin
-        Hashtbl.replace seen s ();
-        Work.note_page_read ();
-        acc := s :: !acc
-      end
-    in
-    let rec walk l ci =
-      let chunk = t.levels.(l).chunks.(ci) in
-      add ~leaf:(l = 0) chunk.items;
-      if l > 0 then
-        List.iter
-          (fun idx -> walk (l - 1) (t.levels.(l).offsets.(ci) + idx))
-          (children_in_range chunk.items ~lo ~hi)
-    in
-    walk (Array.length t.levels - 1) 0;
-    List.rev !acc
-  end
+  else walk t ~select:(children_in_range ~lo ~hi) ~at_leaf:(fun _ () -> ()) ()
 
-(* Re-walk the proof's chunks from the root, recursing into every child
-   whose span intersects the range; returns the certified bindings, or
-   [None] when any chunk is missing, malformed, or unauthentic. *)
+let verify_batch ~root ~items proof =
+  let items = List.stable_sort (fun (a, _) (b, _) -> String.compare a b) items in
+  let check_leaf leaf its =
+    List.for_all
+      (fun (k, v) -> Option.equal String.equal (find_leaf leaf k) v)
+      its
+  in
+  match (items, proof) with
+  | [], _ -> proof = []
+  | _, [] ->
+    Hash.equal root Hash.empty && List.for_all (fun (_, v) -> v = None) items
+  | _ -> replay ~root ~select:(route_keys fst) ~check_leaf items proof
+
+let verify ~root ~key ~value proof =
+  verify_batch ~root ~items:[ (key, value) ] proof
+
 let extract_range ~root ~lo ~hi proof =
-  if String.compare lo hi >= 0 then Some []
-  else if proof = [] then if Hash.equal root Hash.empty then Some [] else None
-  else begin
-    let by_hash = Hashtbl.create 32 in
-    let ok = ref true in
-    List.iter
-      (fun s ->
-        match parse_chunk s with
-        | exception Codec.Malformed _ -> ok := false
-        | leaf, items ->
-          if Array.length items = 0 then ok := false
-          else Hashtbl.replace by_hash (chunk_hash ~leaf items) (leaf, items))
-      proof;
-    let collected = ref [] in
-    let rec walk expected =
-      match Hashtbl.find_opt by_hash expected with
-      | None -> ok := false
-      | Some (true, items) ->
-        Array.iter
-          (fun it ->
-            let k = Chunker.item_key it in
-            if String.compare lo k <= 0 && String.compare k hi < 0 then
-              collected := (k, Chunker.item_payload it) :: !collected)
-          items
-      | Some (false, items) ->
-        List.iter
-          (fun idx -> walk (Chunker.item_payload items.(idx)))
-          (children_in_range items ~lo ~hi)
-    in
-    walk root;
-    if !ok then Some (List.rev !collected) else None
-  end
-
-let verify_range ~root ~lo ~hi ~bindings proof =
-  match extract_range ~root ~lo ~hi proof with
-  | Some certified ->
-    List.equal
-      (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && String.equal v1 v2)
-      certified bindings
-  | None -> false
+  let rows = ref [] in
+  let check_leaf items () =
+    Array.iter
+      (fun it ->
+        let k = Chunker.item_key it in
+        if String.compare lo k <= 0 && String.compare k hi < 0 then
+          rows := (k, Chunker.item_payload it) :: !rows)
+      items;
+    true
+  in
+  let ok =
+    if String.compare lo hi >= 0 then proof = []
+    else if proof = [] then Hash.equal root Hash.empty
+    else replay ~root ~select:(children_in_range ~lo ~hi) ~check_leaf () proof
+  in
+  if ok then Some (List.rev !rows) else None
 
 let stats_nodes t =
   Array.fold_left (fun acc lv -> acc + Array.length lv.chunks) 0 t.levels
@@ -812,7 +697,3 @@ let verify_batch ~root ~items proof =
 
 let extract_range ~root ~lo ~hi proof =
   Work.with_component "verify" (fun () -> extract_range ~root ~lo ~hi proof)
-
-let verify_range ~root ~lo ~hi ~bindings proof =
-  Work.with_component "verify" (fun () ->
-      verify_range ~root ~lo ~hi ~bindings proof)

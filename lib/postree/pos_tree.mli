@@ -44,8 +44,21 @@ val insert_batch : t -> (string * string) list -> t
 val bindings : t -> (string * string) list
 (** All bindings in key order. *)
 
+(* --- proofs --- *)
+
 type proof
-(** Serialized chunks along the root-to-leaf search path. *)
+(** The chunks of one proof walk, serialized, in visit order (root first).
+    Point, batch and range proofs are all the same depth-first walk: at
+    each index chunk it visits, in key order, the children the query
+    routes to (a key's search path, or every child whose key span meets a
+    range).  A chunk shared by several keys' paths is visited, and so
+    shipped and hashed, once.
+
+    Verification replays the same walk over the shipped list: each chunk
+    must hash to the digest its parent routes to, and the walk must
+    consume the list exactly, so a missing, extra, duplicated or
+    reordered chunk is rejected.  The empty tree proves every query with
+    the empty list. *)
 
 val proof_codec : proof Codec.codec
 (** Wire codec; the three functions below are its fields.  [size_bytes]
@@ -63,33 +76,17 @@ val verify : root:Hash.t -> key:string -> value:string option -> proof -> bool
 (** Check a proof against a trusted root digest: [Some v] asserts the
     binding, [None] asserts absence. *)
 
-(* --- batched multiproofs --- *)
-
-type multiproof
-(** The distinct serialized chunks covering every root-to-leaf path of a
-    key batch.  Chunks shared between paths — the root always, and most
-    upper levels for clustered keys — appear exactly once, so a batch of k
-    keys costs far fewer bytes and hashes than k independent proofs. *)
-
-val multiproof_codec : multiproof Codec.codec
-(** Wire codec; the three functions below are its fields. *)
-
-val multiproof_size_bytes : multiproof -> int
-val encode_multiproof : Buffer.t -> multiproof -> unit
-val decode_multiproof : Codec.reader -> multiproof
-
-val prove_batch : t -> string list -> multiproof * (string * string option) list
-(** One tree walk for the whole key set (deduplicated, sorted internally):
-    each covered chunk is visited, charged, and serialized exactly once.
-    Also returns the certified binding of every requested key, saving the
-    caller a second walk. *)
+val prove_batch : t -> string list -> proof * (string * string option) list
+(** One walk for the whole key set (deduplicated, sorted internally).
+    Also returns the certified binding of every requested key, in key
+    order, saving the caller a second walk.  [prove_batch t [k]] is
+    [prove t k]. *)
 
 val verify_batch :
-  root:Hash.t -> items:(string * string option) list -> multiproof -> bool
-(** Check every (key, value-or-absence) claim against a trusted root.  The
-    shared chunk set is parsed and hashed once; each key then re-walks it
-    from the root, so a dropped or tampered chunk fails every key routed
-    through it. *)
+  root:Hash.t -> items:(string * string option) list -> proof -> bool
+(** Check every (key, value-or-absence) claim against a trusted root;
+    [verify_batch ~items:[(k, v)]] is [verify ~key:k ~value:v].  An empty
+    claim list accepts only the empty proof. *)
 
 val load : config -> Hash.t -> t option
 (** Reconstruct the snapshot rooted at the given hash from the backing
@@ -105,27 +102,15 @@ val stats_nodes : t -> int
 val bindings_range : t -> lo:string -> hi:string -> (string * string) list
 (** Bindings with [lo <= key < hi], ascending. *)
 
-type range_proof
-(** The distinct chunks covering every root-to-leaf path that intersects
-    the range; verification recurses into *every* intersecting child, so a
-    server cannot omit entries (completeness) or inject them (soundness). *)
-
-val range_proof_codec : range_proof Codec.codec
-(** Wire codec; the three functions below are its fields. *)
-
-val range_proof_size_bytes : range_proof -> int
-val encode_range_proof : Buffer.t -> range_proof -> unit
-val decode_range_proof : Codec.reader -> range_proof
-
-val prove_range : t -> lo:string -> hi:string -> range_proof
-
-val verify_range :
-  root:Hash.t -> lo:string -> hi:string ->
-  bindings:(string * string) list -> range_proof -> bool
-(** Checks that [bindings] is exactly the tree's content on [lo, hi). *)
+val prove_range : t -> lo:string -> hi:string -> proof
+(** The walk into every child whose key span meets [lo, hi); the empty
+    proof for an empty range or tree. *)
 
 val extract_range :
-  root:Hash.t -> lo:string -> hi:string -> range_proof ->
+  root:Hash.t -> lo:string -> hi:string -> proof ->
   (string * string) list option
-(** The bindings a valid proof certifies for [lo, hi); [None] when the
-    proof is malformed, incomplete, or inconsistent with [root]. *)
+(** The bindings a valid range proof certifies for [lo, hi), ascending.
+    Because the replay enters every intersecting child, a server can
+    neither omit rows (completeness) nor inject them (soundness).  [None]
+    when the proof is malformed, incomplete, padded or inconsistent with
+    [root]. *)

@@ -26,9 +26,6 @@ let records_from t n =
 
 let last_seq t = t.next_seq - 1
 
-let truncate_before t n =
-  t.records <- List.filter (fun r -> r.seq >= n) t.records
-
 let record_bytes r = String.length r.kind + String.length r.payload + 16
 
 let recount t =

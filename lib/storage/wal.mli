@@ -25,9 +25,6 @@ val records_from : t -> int -> record list
 val last_seq : t -> int
 (** -1 when empty. *)
 
-val truncate_before : t -> int -> unit
-(** Drop records with [seq < n]; used after a checkpoint. *)
-
 val truncate_after : t -> int -> unit
 (** Drop records with [seq > n] (and rewind the sequence counter to
     [n + 1]) — crash simulation: the tail never reached the disk. *)

@@ -20,11 +20,27 @@ let shard_of_key ~shards key =
   String.iter (fun c -> h := ((!h lsl 5) + !h + Char.code c) land 0x3FFFFFFF) key;
   !h mod shards
 
+(* A read version is a varint, except -1 (the key was absent), which is
+   the overlong zero 0x80 0x00: [Codec.write_varint] never emits it, so
+   every non-negative version keeps its bytes. *)
+let absent_version = "\x80\x00"
+
+let write_version b v =
+  if v = -1 then Buffer.add_string b absent_version else Codec.write_varint b v
+
+let read_version r =
+  let b = Codec.read_byte r in
+  if b < 0x80 then b
+  else
+    match Codec.read_varint r with
+    | 0 when b = 0x80 -> -1
+    | rest -> (b land 0x7f) lor (rest lsl 7)
+
 let encode_rw_set buf rw =
   Codec.write_list buf
     (fun b (k, v) ->
       Codec.write_string b k;
-      Codec.write_varint b v)
+      write_version b v)
     rw.reads;
   Codec.write_list buf
     (fun b (k, v) ->
@@ -36,7 +52,7 @@ let decode_rw_set r =
   let reads =
     Codec.read_list r (fun r ->
         let k = Codec.read_string r in
-        let v = Codec.read_varint r in
+        let v = read_version r in
         (k, v))
   in
   let writes =

@@ -25,6 +25,10 @@ val shard_of_key : shards:int -> key -> int
 (** Hash partitioning (Section 3.3.2): stable mapping of keys to shards. *)
 
 val encode_rw_set : Buffer.t -> rw_set -> unit
+(** Read versions are varints; -1 (the key was absent when read) is the
+    two bytes [0x80 0x00], an overlong zero no non-negative version
+    encodes to. *)
+
 val decode_rw_set : Codec.reader -> rw_set
 
 val encode_commit : txn_id -> (key * value) list -> string

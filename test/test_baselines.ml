@@ -92,7 +92,45 @@ let test_qldb_append_only () =
       Alcotest.(check bool) "append-only verifies" true
         (Qldb.Node.verify_append_only ~old ~new_ proof))
 
+(* Transactions that read absent keys commit: one read-only, one that
+   reads and then writes.  The read set records version -1 for each
+   absent key, which the signed transaction must carry. *)
+module Absent_reads (D : Vlayer.Dist.S) = struct
+  let run cl =
+    let c = D.Client.create cl ~id:1 ~sk:"k" in
+    (match D.Client.execute c (fun h -> D.Client.get h "absent") with
+     | Ok (None, _) -> ()
+     | Ok (Some _, _) -> Alcotest.fail "absent key read a value"
+     | Error e ->
+       Alcotest.failf "read-only txn: %s" (Glassdb_util.Error.to_string e));
+    (match
+       D.Client.execute c (fun h ->
+           ignore (D.Client.get h "absent2");
+           D.Client.put h "x" "1")
+     with
+     | Ok _ -> ()
+     | Error e ->
+       Alcotest.failf "read-then-write txn: %s"
+         (Glassdb_util.Error.to_string e));
+    match D.Client.execute c (fun h -> D.Client.get h "x") with
+    | Ok (v, _) -> Alcotest.(check (option string)) "write landed" (Some "1") v
+    | Error e -> Alcotest.failf "read back: %s" (Glassdb_util.Error.to_string e)
+end
+
+let test_qldb_absent_reads () =
+  let module A = Absent_reads (Qldb.Cluster) in
+  in_sim (fun () -> A.run (qldb_cluster ()))
+
 (* --- LedgerDB* --- *)
+
+let test_ledgerdb_absent_reads () =
+  let module A = Absent_reads (Ledgerdb.Cluster) in
+  in_sim (fun () ->
+      A.run
+        (Ledgerdb.Cluster.create ~rpc_timeout:1.0 ~rpc_retries:2
+           ~retry_backoff:0.01
+           (Array.init 2 (fun i ->
+                Ledgerdb.Node.create Ledgerdb.default_config ~shard_id:i))))
 
 let test_ledgerdb_txn_batch_and_proof () =
   in_sim (fun () ->
@@ -286,11 +324,15 @@ let () =
     [ ("qldb",
        [ Alcotest.test_case "txn and read" `Quick test_qldb_txn_and_read;
          Alcotest.test_case "current proof with scan" `Quick test_qldb_current_proof;
-         Alcotest.test_case "append-only" `Quick test_qldb_append_only ]);
+         Alcotest.test_case "append-only" `Quick test_qldb_append_only;
+         Alcotest.test_case "absent-key reads commit" `Quick
+           test_qldb_absent_reads ]);
       ("ledgerdb",
        [ Alcotest.test_case "batch and proof" `Quick test_ledgerdb_txn_batch_and_proof;
          Alcotest.test_case "proof grows with versions" `Quick test_ledgerdb_proof_grows_with_versions;
-         Alcotest.test_case "append-only" `Quick test_ledgerdb_append_only ]);
+         Alcotest.test_case "append-only" `Quick test_ledgerdb_append_only;
+         Alcotest.test_case "absent-key reads commit" `Quick
+           test_ledgerdb_absent_reads ]);
       ("trillian",
        [ Alcotest.test_case "put/sequence/get" `Quick test_trillian_put_sequence_get;
          Alcotest.test_case "read proof" `Quick test_trillian_read_proof;

@@ -548,6 +548,38 @@ let test_auditor_accepts_honest_server () =
       Alcotest.(check bool) "user digest accepted" true
         (Auditor.verify_user_digest a ~shard (Client.digest_of_shard c shard)))
 
+(* Transactions that read absent keys commit (one read-only, one that
+   reads and then writes), and the block holding the signed read-then-
+   write transaction, with its version -1 read, passes the audit. *)
+let test_absent_key_reads_commit_and_audit () =
+  with_cluster ~shards:1 (fun cl ->
+      let c = Client.create cl ~id:1 ~sk:"pk1" in
+      let a = Auditor.create cl ~id:0 in
+      Auditor.register_client a ~client:1 ~pk:"pk1";
+      (match Client.execute c (fun h -> Client.get h "absent") with
+       | Ok (None, _) -> ()
+       | Ok (Some _, _) -> Alcotest.fail "absent key read a value"
+       | Error e -> Alcotest.failf "read-only txn: %s" (Error.to_string e));
+      (match
+         Client.execute c (fun h ->
+             ignore (Client.get h "absent2");
+             Client.put h "x" "1")
+       with
+       | Ok _ -> ()
+       | Error e -> Alcotest.failf "read-then-write txn: %s" (Error.to_string e));
+      Sim.sleep 0.2;
+      let reports = Auditor.audit_all a in
+      Alcotest.(check int) "one block audited" 1
+        (List.fold_left (fun acc r -> acc + r.Auditor.ar_blocks) 0 reports);
+      List.iter
+        (fun r -> Alcotest.(check bool) "audit ok" true r.Auditor.ar_ok)
+        reports;
+      Alcotest.(check int) "no violations" 0 (Auditor.failures a);
+      let txns = Ledger.txns_of_block (Node.ledger_of (Cluster.node cl 0)) 0 in
+      Alcotest.(check (list (list (pair string int)))) "block carries the -1 read"
+        [ [ ("absent2", -1) ] ]
+        (List.map (fun t -> t.Kv.rw.Kv.reads) txns))
+
 let test_auditor_detects_unauthorized_txn () =
   with_cluster ~shards:1 (fun cl ->
       let c = Client.create cl ~id:1 ~sk:"pk1" in
@@ -838,7 +870,9 @@ let () =
          Alcotest.test_case "sync-persist mode" `Quick test_sync_persist_mode ]);
       ("auditing",
        [ Alcotest.test_case "honest server passes" `Quick test_auditor_accepts_honest_server;
-         Alcotest.test_case "unauthorized txn detected" `Quick test_auditor_detects_unauthorized_txn ]);
+         Alcotest.test_case "unauthorized txn detected" `Quick test_auditor_detects_unauthorized_txn;
+         Alcotest.test_case "absent-key reads commit and audit" `Quick
+           test_absent_key_reads_commit_and_audit ]);
       ("failures",
        [ Alcotest.test_case "crash, abort, recover" `Quick test_crash_aborts_then_recovery_preserves_data;
          Alcotest.test_case "replay at every truncation point" `Quick

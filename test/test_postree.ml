@@ -217,9 +217,10 @@ let test_proof_codec_roundtrip () =
   Alcotest.(check bool) "size positive" true (Pos_tree.proof_size_bytes p > 0)
 
 let test_proof_codecs_match_legacy () =
-  (* The first-class codec records and the legacy per-proof function
-     triples must agree byte-for-byte (the triples are the records'
-     fields, but pin the equivalence against regressions). *)
+  (* The first-class codec record and the legacy function triple must
+     agree byte-for-byte (the triple is the record's fields, but pin the
+     equivalence against regressions), for point, batch and range proofs
+     alike: all three are one proof type. *)
   let _, cfg = mk () in
   let t = Pos_tree.insert_batch (Pos_tree.empty cfg) (kvs_of 300) in
   let p = Pos_tree.prove t "key-00042" in
@@ -230,19 +231,24 @@ let test_proof_codecs_match_legacy () =
     (Pos_tree.proof_size_bytes p)
     (Pos_tree.proof_codec.Codec.size_bytes p);
   let mp, _ = Pos_tree.prove_batch t [ "key-00001"; "key-00200"; "absent" ] in
-  Alcotest.(check string) "multiproof encode = wrapper"
-    (Codec.to_string Pos_tree.encode_multiproof mp)
-    (Codec.encode_to_string Pos_tree.multiproof_codec mp);
-  Alcotest.(check int) "multiproof size = wrapper"
-    (Pos_tree.multiproof_size_bytes mp)
-    (Pos_tree.multiproof_codec.Codec.size_bytes mp);
+  Alcotest.(check string) "batch encode = wrapper"
+    (Codec.to_string Pos_tree.encode_proof mp)
+    (Codec.encode_to_string Pos_tree.proof_codec mp);
+  Alcotest.(check int) "batch size = wrapper"
+    (Pos_tree.proof_size_bytes mp)
+    (Pos_tree.proof_codec.Codec.size_bytes mp);
   let rp = Pos_tree.prove_range t ~lo:"key-00100" ~hi:"key-00150" in
   Alcotest.(check string) "range encode = wrapper"
-    (Codec.to_string Pos_tree.encode_range_proof rp)
-    (Codec.encode_to_string Pos_tree.range_proof_codec rp);
+    (Codec.to_string Pos_tree.encode_proof rp)
+    (Codec.encode_to_string Pos_tree.proof_codec rp);
   Alcotest.(check int) "range size = wrapper"
-    (Pos_tree.range_proof_size_bytes rp)
-    (Pos_tree.range_proof_codec.Codec.size_bytes rp);
+    (Pos_tree.proof_size_bytes rp)
+    (Pos_tree.proof_codec.Codec.size_bytes rp);
+  (* A one-key batch is the point proof, byte for byte. *)
+  Alcotest.(check string) "one-key batch = point proof"
+    (Codec.to_string Pos_tree.encode_proof p)
+    (Codec.to_string Pos_tree.encode_proof
+       (fst (Pos_tree.prove_batch t [ "key-00042" ])));
   (* decode field roundtrips through the record too *)
   let bytes = Codec.encode_to_string Pos_tree.proof_codec p in
   Alcotest.(check string) "proof decode roundtrips" bytes
@@ -253,6 +259,11 @@ let proof_of_strings l =
   (* Forge a proof through the public codec, as a malicious server would. *)
   Codec.of_string Pos_tree.decode_proof
     (Codec.to_string (fun b -> Codec.write_list b Codec.write_string) l)
+
+let strings_of_proof p =
+  Codec.of_string
+    (fun r -> Codec.read_list r Codec.read_string)
+    (Codec.to_string Pos_tree.encode_proof p)
 
 let test_proof_garbage_rejected () =
   let _, cfg = mk () in
@@ -291,17 +302,6 @@ let prop_proofs_verify =
 
 (* --- batched multiproofs --- *)
 
-let strings_of_multiproof mp =
-  Codec.of_string
-    (fun r -> Codec.read_list r Codec.read_string)
-    (Codec.to_string Pos_tree.encode_multiproof mp)
-
-let multiproof_of_strings l =
-  (* Forge a multiproof through the public codec, as a malicious server
-     would. *)
-  Codec.of_string Pos_tree.decode_multiproof
-    (Codec.to_string (fun b -> Codec.write_list b Codec.write_string) l)
-
 let test_multiproof_roundtrip () =
   let _, cfg = mk () in
   let kvs = kvs_of 600 in
@@ -321,13 +321,13 @@ let test_multiproof_roundtrip () =
     items;
   Alcotest.(check bool) "verifies" true (Pos_tree.verify_batch ~root ~items mp);
   let mp' =
-    Codec.of_string Pos_tree.decode_multiproof
-      (Codec.to_string Pos_tree.encode_multiproof mp)
+    Codec.of_string Pos_tree.decode_proof
+      (Codec.to_string Pos_tree.encode_proof mp)
   in
   Alcotest.(check bool) "verifies after codec roundtrip" true
     (Pos_tree.verify_batch ~root ~items mp');
   Alcotest.(check bool) "size positive" true
-    (Pos_tree.multiproof_size_bytes mp > 0)
+    (Pos_tree.proof_size_bytes mp > 0)
 
 let test_multiproof_adversarial () =
   let _, cfg = mk () in
@@ -350,9 +350,9 @@ let test_multiproof_adversarial () =
     (Pos_tree.verify_batch ~root ~items:(tamper "nope" (Some "ghost")) mp);
   (* Dropped chunk: removing any chunk breaks the hash chain for the keys
      routed through it. *)
-  let chunks = strings_of_multiproof mp in
+  let chunks = strings_of_proof mp in
   let dropped_last =
-    multiproof_of_strings (List.filteri (fun i _ -> i < List.length chunks - 1) chunks)
+    proof_of_strings (List.filteri (fun i _ -> i < List.length chunks - 1) chunks)
   in
   Alcotest.(check bool) "dropped chunk rejected" false
     (Pos_tree.verify_batch ~root ~items dropped_last);
@@ -364,7 +364,7 @@ let test_multiproof_adversarial () =
     Bytes.to_string b
   in
   let tampered_chunk =
-    multiproof_of_strings
+    proof_of_strings
       (List.mapi (fun i s -> if i = List.length chunks - 1 then corrupt s else s) chunks)
   in
   Alcotest.(check bool) "tampered chunk rejected" false
@@ -378,7 +378,76 @@ let test_multiproof_adversarial () =
   Alcotest.(check bool) "empty tree: absences verify" true
     (Pos_tree.verify_batch ~root:Hash.empty ~items:items0 mp0);
   Alcotest.(check bool) "empty proof vs non-empty tree rejected" false
-    (Pos_tree.verify_batch ~root ~items (multiproof_of_strings []))
+    (Pos_tree.verify_batch ~root ~items (proof_of_strings []))
+
+(* Every proof kind is one walk, and the verifier replays it over the
+   shipped list: besides a dropped chunk, a chunk the walk never reaches,
+   a duplicated chunk and two swapped chunks must all fail, wherever in
+   the list they sit. *)
+let test_tampered_chunk_lists () =
+  let _, cfg = mk () in
+  let t = Pos_tree.insert_batch (Pos_tree.empty cfg) (kvs_of 600) in
+  let root = Pos_tree.root_hash t in
+  let batch_keys = [ "key-00007"; "key-00123"; "key-00321"; "nope" ] in
+  let lo = "key-00100" and hi = "key-00200" in
+  let _, items = Pos_tree.prove_batch t batch_keys in
+  let kinds =
+    [ ( "point",
+        Pos_tree.prove t "key-00010",
+        Pos_tree.verify ~root ~key:"key-00010" ~value:(Some "val-10") );
+      ( "batch",
+        fst (Pos_tree.prove_batch t batch_keys),
+        Pos_tree.verify_batch ~root ~items );
+      ( "range",
+        Pos_tree.prove_range t ~lo ~hi,
+        fun p ->
+          Pos_tree.extract_range ~root ~lo ~hi p
+          = Some (Pos_tree.bindings_range t ~lo ~hi) ) ]
+  in
+  List.iter
+    (fun (kind, proof, accepts) ->
+      let chunks = Array.of_list (strings_of_proof proof) in
+      let n = Array.length chunks in
+      if n < 2 then Alcotest.failf "%s: proof too short to tamper with" kind;
+      Alcotest.(check bool) (kind ^ ": honest proof accepted") true
+        (accepts proof);
+      (* A genuine chunk of the same tree that this walk never visits. *)
+      let foreign =
+        List.find
+          (fun c -> not (Array.mem c chunks))
+          (List.concat_map
+             (fun k -> strings_of_proof (Pos_tree.prove t k))
+             [ "key-00450"; "key-00050"; "key-00599" ])
+      in
+      let rejects what l =
+        if accepts (proof_of_strings l) then
+          Alcotest.failf "%s: %s accepted" kind what
+      in
+      let listi f = List.concat (List.init n f) in
+      for i = 0 to n - 1 do
+        rejects
+          (Printf.sprintf "dropped chunk %d" i)
+          (List.filteri (fun j _ -> j <> i) (Array.to_list chunks));
+        rejects
+          (Printf.sprintf "duplicated chunk %d" i)
+          (listi (fun j -> if j = i then [ chunks.(j); chunks.(j) ] else [ chunks.(j) ]));
+        if i + 1 < n then
+          rejects
+            (Printf.sprintf "swapped chunks %d and %d" i (i + 1))
+            (listi (fun j ->
+                 [ (if j = i then chunks.(i + 1)
+                    else if j = i + 1 then chunks.(i)
+                    else chunks.(j)) ]))
+      done;
+      for i = 0 to n do
+        rejects
+          (Printf.sprintf "unreached chunk at %d" i)
+          (List.concat
+             (List.init (n + 1) (fun j ->
+                  (if j = i then [ foreign ] else [])
+                  @ if j < n then [ chunks.(j) ] else [])))
+      done)
+    kinds
 
 let test_multiproof_cheaper_than_independent () =
   let _, cfg = mk () in
@@ -411,7 +480,7 @@ let test_multiproof_cheaper_than_independent () =
     List.fold_left (fun a p -> a + Pos_tree.proof_size_bytes p) 0 proofs
   in
   Alcotest.(check bool) "batched proof strictly smaller" true
-    (Pos_tree.multiproof_size_bytes mp < independent_bytes)
+    (Pos_tree.proof_size_bytes mp < independent_bytes)
 
 let prop_multiproof_model =
   QCheck.Test.make ~name:"multiproofs verify for random maps and key sets"
@@ -495,6 +564,10 @@ let test_load_reconstructs_snapshot () =
 
 (* --- verifiable range queries --- *)
 
+(* [bindings] is exactly what the proof certifies for [lo, hi). *)
+let verify_range ~root ~lo ~hi ~bindings proof =
+  Pos_tree.extract_range ~root ~lo ~hi proof = Some bindings
+
 let test_range_queries () =
   let _, cfg = mk () in
   let kvs = kvs_of 500 in
@@ -509,17 +582,17 @@ let test_range_queries () =
       (Printf.sprintf "range [%s,%s) size" lo hi)
       (List.length expected) (List.length bindings);
     let proof = Pos_tree.prove_range t ~lo ~hi in
-    if not (Pos_tree.verify_range ~root ~lo ~hi ~bindings proof) then
+    if not (verify_range ~root ~lo ~hi ~bindings proof) then
       Alcotest.failf "range proof failed for [%s,%s)" lo hi;
     (* Omitting an entry (incompleteness) must be rejected. *)
     (match bindings with
      | _ :: rest ->
-       if Pos_tree.verify_range ~root ~lo ~hi ~bindings:rest proof then
+       if verify_range ~root ~lo ~hi ~bindings:rest proof then
          Alcotest.failf "omitted entry accepted for [%s,%s)" lo hi
      | [] -> ());
     (* Injecting an entry must be rejected. *)
     if
-      Pos_tree.verify_range ~root ~lo ~hi
+      verify_range ~root ~lo ~hi
         ~bindings:(bindings @ [ (hi ^ "!", "fake") ])
         proof
     then Alcotest.failf "injected entry accepted for [%s,%s)" lo hi
@@ -550,7 +623,7 @@ let prop_range_model =
       in
       let bindings = Pos_tree.bindings_range t ~lo ~hi in
       bindings = expected
-      && Pos_tree.verify_range ~root ~lo ~hi ~bindings
+      && verify_range ~root ~lo ~hi ~bindings
            (Pos_tree.prove_range t ~lo ~hi))
 
 (* --- pinned fingerprints ---
@@ -579,7 +652,7 @@ let fingerprint ~seed =
   let t2 = Pos_tree.insert_batch t1 upd in
   let mp, items = Pos_tree.prove_batch t2 keys in
   let buf = Buffer.create 4096 in
-  Pos_tree.encode_multiproof buf mp;
+  Pos_tree.encode_proof buf mp;
   List.iter
     (fun (k, v) ->
       Buffer.add_string buf k;
@@ -693,5 +766,7 @@ let () =
          Alcotest.test_case "codec records match legacy" `Quick
            test_proof_codecs_match_legacy;
          Alcotest.test_case "garbage rejected" `Quick test_proof_garbage_rejected;
+         Alcotest.test_case "tampered chunk lists rejected" `Quick
+           test_tampered_chunk_lists;
          Alcotest.test_case "size logarithmic" `Quick test_proof_size_scales_logarithmically ]
        @ qsuite [ prop_proofs_verify ]) ]

@@ -1,7 +1,7 @@
-(* Cross-commit digest pin over six hot-path stages at a small scale: a
+(* Cross-commit digest pin over seven hot-path stages at a small scale: a
    POS-tree batch build and incremental update, multi-block batched proof
-   assembly, a cluster-wide persist, and bench1's quick micro and macro
-   runs.  Each stage hashes its deterministic outputs — tree roots, node
+   assembly, point, append-only and range proofs, a cluster-wide persist,
+   and bench1's quick micro and macro runs.  Each stage hashes its deterministic outputs — tree roots, node
    store sizes, encoded proof bytes, ledger digests, bench rows — and the
    digest must equal the constant below.  A change that alters any
    digest, proof byte or simulated-clock figure on these paths fails
@@ -49,21 +49,24 @@ let stage_pos_update t =
   let t2 = Postree.Pos_tree.insert_batch t upd in
   sha_hex (Hex.encode (Postree.Pos_tree.root_hash t2))
 
-let stage_proofs () =
+(* Six blocks of [keys_per_block] fresh keys each, no signed
+   transactions. *)
+let seeded_ledger () =
   let store = Storage.Node_store.create () in
-  let ledger =
-    List.fold_left
-      (fun l b ->
-        Ledger.append_block l ~time:(float_of_int b)
-          ~writes:
-            (List.init keys_per_block (fun i ->
-                 { Ledger.wkey = key_of ((b * keys_per_block) + i);
-                   wvalue = Printf.sprintf "v-%d-%d" b i;
-                   wtid = Printf.sprintf "t%d" b }))
-          ~txns:[])
-      (Ledger.create (Ledger.config store))
-      (List.init blocks Fun.id)
-  in
+  List.fold_left
+    (fun l b ->
+      Ledger.append_block l ~time:(float_of_int b)
+        ~writes:
+          (List.init keys_per_block (fun i ->
+               { Ledger.wkey = key_of ((b * keys_per_block) + i);
+                 wvalue = Printf.sprintf "v-%d-%d" b i;
+                 wtid = Printf.sprintf "t%d" b }))
+        ~txns:[])
+    (Ledger.create (Ledger.config store))
+    (List.init blocks Fun.id)
+
+let stage_proofs () =
+  let ledger = seeded_ledger () in
   let groups =
     List.init proof_groups (fun g ->
         let b = g mod blocks in
@@ -79,6 +82,46 @@ let stage_proofs () =
     (Printf.sprintf "%s|%d|%s"
        (Hex.encode digest.Ledger.root)
        digest.Ledger.block_no (Buffer.contents buf))
+
+(* Point, append-only and range proofs on the seeded ledger, through
+   their wire codecs: [prove_current] and [prove_inclusion] for a present
+   and an absent key, an append-only proof from an older block, and a
+   range scan's lower-tree chunks with the scan proof's accounted size.
+   The scan's chunks come from the latest state tree rebuilt out of the
+   ledger's own payloads; structural invariance makes it the tree
+   [prove_scan] walks, and its root is checked against the header. *)
+let stage_point_proofs () =
+  let module Pos_tree = Postree.Pos_tree in
+  let ledger = seeded_ledger () in
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun k ->
+      Ledger.encode_proof buf (Ledger.prove_current ledger k);
+      Ledger.encode_proof buf (Ledger.prove_inclusion ledger k ~block:2))
+    [ key_of ((2 * keys_per_block) + 17); "key-absent" ];
+  Ledger.encode_append_proof buf (Ledger.prove_append_only ledger ~old_block:2);
+  let all = List.init (blocks * keys_per_block) key_of in
+  let state =
+    Pos_tree.insert_batch
+      (Pos_tree.empty (Pos_tree.config (Storage.Node_store.create ())))
+      (List.map
+         (fun k ->
+           let value, version, prev = Option.get (Ledger.get ledger k) in
+           (k, Ledger.encode_payload ~value ~version ~prev))
+         all)
+  in
+  let latest = Ledger.latest_block ledger in
+  if
+    not
+      (Hash.equal (Pos_tree.root_hash state)
+         (Option.get (Ledger.header_at ledger latest)).Ledger.state_root)
+  then Alcotest.fail "rebuilt state tree differs from the ledger's";
+  let lo = key_of 100 and hi = key_of 300 in
+  Pos_tree.encode_proof buf (Pos_tree.prove_range state ~lo ~hi);
+  sha_hex
+    (Printf.sprintf "%d|%s"
+       (Ledger.scan_proof_size_bytes (Ledger.prove_scan ledger ~lo ~hi ()))
+       (Buffer.contents buf))
 
 let stage_persist () =
   let cluster = Cluster.create (Config.make ~shards ()) in
@@ -125,12 +168,14 @@ let digests =
     (let build, t = stage_pos_build () in
      let update = stage_pos_update t in
      let proofs = stage_proofs () in
+     let point_proofs = stage_point_proofs () in
      let persist = stage_persist () in
      let micro = stage_micro () in
      let macro = stage_macro () in
      [ ("pos_build", build);
        ("pos_update", update);
        ("proofs", proofs);
+       ("point_proofs", point_proofs);
        ("persist", persist);
        ("micro", micro);
        ("macro", macro) ])
@@ -139,6 +184,7 @@ let pinned =
   [ ("pos_build", "1685e0049d8ceb55707d028d29449e154df4434299d5c7b626504aba4f5823fc");
     ("pos_update", "18bf417df10ceacec00951662374e79199940ccc37fe7131394369d1ebc5debf");
     ("proofs", "a7dcd1629870ba8f6dc97323c50e0d0fb89a167191bb4d214d1b716867a075e8");
+    ("point_proofs", "856e527fb064939a37df0ca1d1cba1171f4bf0e02af112814a4f7f6823c6e3f5");
     ("persist", "354aa446f7799ba83f684cf13bc35bd5c81b801f9795a75c90bf2c358ea05181");
     ("micro", "f7238d93bcd616c991277084c06f0f06a53f9b11145f34c20e651bca382c79ab");
     ("macro", "9b9aaa2788729eed1746c6d77acd8170144c78232203c1177835b7e38cd23fc7") ]

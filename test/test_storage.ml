@@ -155,8 +155,6 @@ let test_wal_append_and_replay () =
   let tail = Wal.records_from w 1 in
   Alcotest.(check int) "tail length" 1 (List.length tail);
   Alcotest.(check string) "tail kind" "commit" (List.hd tail).Wal.kind;
-  Wal.truncate_before w 1;
-  Alcotest.(check int) "after truncate" 1 (List.length (Wal.records_from w 0));
   Alcotest.(check int) "seq continues" 2 (Wal.append w ~kind:"commit" ~payload:"t2")
 
 let test_wal_truncate_after () =

@@ -148,6 +148,42 @@ let test_sign_verify_tamper () =
   Alcotest.(check int) "byte size consistent" (String.length bytes)
     (Kv.signed_txn_bytes stxn)
 
+(* A transaction that read an absent key records version -1.  It must
+   encode, round-trip and keep its signature valid, while every
+   non-negative version keeps the plain varint bytes. *)
+let test_absent_read_versions () =
+  let module Codec = Glassdb_util.Codec in
+  List.iter
+    (fun v ->
+      let expected =
+        Codec.to_string
+          (fun b () ->
+            Codec.write_varint b 1;
+            Codec.write_string b "k";
+            Codec.write_varint b v;
+            Codec.write_varint b 0)
+          ()
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "version %d keeps its bytes" v)
+        expected
+        (Codec.to_string Kv.encode_rw_set (rw ~reads:[ ("k", v) ] ())))
+    [ 0; 1; 127; 128; 300; 1 lsl 40; max_int ];
+  let r = rw ~reads:[ ("gone", -1); ("a", 0); ("b", 128) ] ~writes:[ ("x", "1") ] () in
+  let stxn = Kv.sign ~sk:"secret" ~tid:"t1" ~client:2 r in
+  let stxn' =
+    Codec.of_string Kv.decode_signed_txn
+      (Codec.to_string Kv.encode_signed_txn stxn)
+  in
+  Alcotest.(check (list (pair string int))) "absent read round-trips"
+    r.Kv.reads stxn'.Kv.rw.Kv.reads;
+  Alcotest.(check bool) "signature verifies after decode" true
+    (Kv.verify_signature ~pk:"secret" stxn');
+  Alcotest.(check bool) "absent differs from version 0" false
+    (String.equal
+       (Codec.to_string Kv.encode_rw_set (rw ~reads:[ ("k", -1) ] ()))
+       (Codec.to_string Kv.encode_rw_set (rw ~reads:[ ("k", 0) ] ())))
+
 let test_shard_mapping_stable () =
   for shards = 1 to 16 do
     for i = 0 to 50 do
@@ -161,7 +197,7 @@ let test_shard_mapping_stable () =
 let prop_rw_set_codec =
   QCheck.Test.make ~name:"rw-set codec roundtrip" ~count:100
     QCheck.(pair
-              (list (pair small_string small_nat))
+              (list (pair small_string (int_range (-1) 100_000)))
               (list (pair small_string small_string)))
     (fun (reads, writes) ->
       let r = { Kv.reads; writes } in
@@ -182,5 +218,7 @@ let () =
          Alcotest.test_case "pop_key fifo" `Quick test_cmap_pop_key ]);
       ("signatures",
        [ Alcotest.test_case "sign/verify/tamper" `Quick test_sign_verify_tamper;
-         Alcotest.test_case "shard mapping stable" `Quick test_shard_mapping_stable ]
+         Alcotest.test_case "shard mapping stable" `Quick test_shard_mapping_stable;
+         Alcotest.test_case "absent read versions" `Quick
+           test_absent_read_versions ]
        @ qsuite [ prop_rw_set_codec ]) ]

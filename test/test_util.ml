@@ -192,62 +192,9 @@ let test_hash_raising_feeder () =
    with Feeder_failed -> ());
   Alcotest.(check string) "combine after a raising feeder" expected
     (Hex.encode (Hash.combine [ "p"; "q" ]));
-  (try
-     ignore
-       (Hash.digest_many
-          (fun i push ->
-            push "half";
-            if i = 1 then raise Feeder_failed)
-          [| 0; 1; 2 |])
-   with Feeder_failed -> ());
-  Alcotest.(check (array string)) "digest_many after a raising feeder"
-    [| Hex.encode (Hash.of_string "r") |]
-    (Array.map Hex.encode (Hash.digest_many (fun s push -> push s) [| "r" |]));
   Alcotest.(check string) "primitives unaffected"
     (Hex.encode (Sha256.digest_string "\x00leaf"))
     (Hex.encode (Hash.leaf "leaf"))
-
-let test_hash_digest_many_primitive_feeder () =
-  (* digest_many feeders may memoize primitive hashes mid-stream too. *)
-  let inputs = [| "a"; "bb"; "" |] in
-  let expected =
-    Array.map
-      (fun s -> Sha256.digest_strings [ Hash.leaf s; Hash.kv s s ])
-      inputs
-  in
-  let got =
-    Hash.digest_many
-      (fun s push ->
-        push (Hash.leaf s);
-        push (Hash.kv s s))
-      inputs
-  in
-  Alcotest.(check (array string)) "interleaved primitive hashing"
-    (Array.map Hex.encode expected) (Array.map Hex.encode got)
-
-let test_hash_digest_many () =
-  let inputs = Array.init 17 (fun i -> String.make i 'q') in
-  (* Byte-for-byte equal to the serial one-context-per-input digests, and
-     Work charges one hash per input either way. *)
-  let serial, sw =
-    Work.measure (fun () -> Array.map Hash.of_string inputs)
-  in
-  let batched, bw =
-    Work.measure (fun () -> Hash.digest_many (fun s push -> push s) inputs)
-  in
-  Alcotest.(check (array string)) "digest_many = serial digests"
-    (Array.map Hex.encode serial) (Array.map Hex.encode batched);
-  Alcotest.(check int) "identical hash accounting" sw.Work.hashes
-    bw.Work.hashes;
-  let pairs = [| ("a", "1"); ("bb", "22"); ("", "") |] in
-  Alcotest.(check (array string)) "combine_many = per-input combines"
-    (Array.map (fun (x, y) -> Hex.encode (Hash.combine [ x; y ])) pairs)
-    (Array.map Hex.encode
-       (Hash.combine_many
-          (fun (x, y) push ->
-            push x;
-            push y)
-          pairs))
 
 (* --- Codec --- *)
 
@@ -700,11 +647,8 @@ let () =
          Alcotest.test_case "kv unambiguous" `Quick test_hash_kv_unambiguous;
          Alcotest.test_case "combine_feed streams" `Quick
            test_hash_combine_feed;
-         Alcotest.test_case "batched digests" `Quick test_hash_digest_many;
          Alcotest.test_case "raising feeder leaves contexts clean" `Quick
-           test_hash_raising_feeder;
-         Alcotest.test_case "primitives inside digest_many" `Quick
-           test_hash_digest_many_primitive_feeder ]);
+           test_hash_raising_feeder ]);
       ("codec",
        [ Alcotest.test_case "malformed input" `Quick test_codec_malformed;
          Alcotest.test_case "trailing bytes" `Quick test_codec_trailing ]
